@@ -15,7 +15,7 @@ from .exactnum import (MismatchedRadicandError, QuadElem, alpha_power,
                        beta_power, quad_add, quad_mul, quad_neg, quad_scale,
                        quad_sign)
 from .growth import (BranchKind, GrowthBranch, GrowthCase, GrowthReport,
-                     Margin, RatioHeight, check_lucas_growth,
+                     HeightBoundError, Margin, RatioHeight, check_lucas_growth,
                      check_nonreal_growth, check_real_growth,
                      check_sharp_growth, empirical_nonreal_threshold,
                      height_sandwich_check, nonreal_threshold_formula,

@@ -48,10 +48,14 @@ def term_at(A: int, B: int, P: int, Q: int, n: int) -> int:
 
 
 def term_window(A: int, B: int, P: int, Q: int, n: int) -> tuple[int, int]:
-    """(u_n, u_{n+1}) in O(log n)."""
-    un = term_at(A, B, P, Q, n)
-    un1 = term_at(A, B, P, Q, n + 1)
-    return un, un1
+    """(u_n, u_{n+1}) from one Lucas pair: u_n = U_n*Q + (U_{n+1} - A*U_n)*P
+    and u_{n+1} = U_{n+1}*Q - B*U_n*P (n = 0 gives (P, Q)).
+
+    Q - A*P and B*P do not grow with n, so grouping them first builds four
+    products and no other temporary the size of U_n.
+    """
+    u, u1 = lucas_u_pair(A, B, n)
+    return u * (Q - A * P) + u1 * P, u1 * Q - u * (B * P)
 
 
 def term_iter(A: int, B: int, P: int, Q: int, n: int) -> int:

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from . import __version__
 from .core import DegenerateInputError, SequenceParams, classify
-from .growth import (check_lucas_growth, check_nonreal_growth,
+from .growth import (HeightBoundError, check_lucas_growth, check_nonreal_growth,
                      check_real_growth, check_sharp_growth,
                      empirical_nonreal_threshold, height_sandwich_check,
                      nonreal_threshold_formula, ratio_height,
@@ -313,7 +313,7 @@ def main(argv=None) -> int:
             "make-zero": cmd_make_zero, "growth": cmd_growth, "sweep": cmd_sweep,
         }[args.command]
         return handler(args)
-    except InvariantViolationError as exc:
+    except (InvariantViolationError, HeightBoundError) as exc:
         print(f"internal invariant violation: {exc}", file=sys.stderr)
         return 2
     except (DegenerateInputError, ValueError) as exc:

@@ -21,13 +21,19 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, floor
+from math import ceil
 
 from . import kernels, terms
 from .core import (DegenerateInputError, Kind, Reason, SequenceParams, classify,
                    discriminant)
 from .exactnum import QuadElem, alpha_power
-from .logbounds import ceil_log_affine, exceeds_log_affine, ln_enclosure, upper_log_loglog
+from .logbounds import (ceil_log_affine, exceeds_log_affine, floor_log_squared,
+                        upper_log_loglog)
+
+
+class HeightBoundError(RuntimeError):
+    """A ratio height broke H <= 2(|Q| + |P|(A + |D|)/2)^2 - 1."""
+
 
 DEFAULT_C_NONREAL_THRESHOLD = Fraction(50)   # factor in the structural threshold
 DEFAULT_C_LUCAS_NONREAL = Fraction(100)      # exponent slack in the non-real Lucas check
@@ -296,8 +302,7 @@ def check_lucas_growth(A: int, B: int, n: int,
     if c_nonreal is None:
         raise DegenerateInputError(
             "non-real Lucas bound needs an explicit constant (c_nonreal)")
-    lo, _ = ln_enclosure(n)
-    slack = floor(Fraction(c_nonreal) * lo * lo)
+    slack = floor_log_squared(c_nonreal, n)
     exponent = max(0, n - slack)
     value = un * un - B ** exponent
     return _report(n, "lucas-nonreal", True, (_margin("u-squared", value),))
@@ -348,7 +353,9 @@ def ratio_height(params: SequenceParams) -> RatioHeight:
     quadratic N*x^2 + M*x + N with N = Q^2 - PQA + BP^2 and
     M = -(2Q^2 - 2PQA + P^2(A^2 - 2B)); a rational ratio with irrational D
     (only P = 0, ratio 1, or 2Q = PA, ratio -1) degenerates to x -+ 1.
-    The height always satisfies H <= 2(|Q| + |P|(A + |D|)/2)^2 - 1.
+    The height always satisfies H <= 2(|Q| + |P|(A + |D|)/2)^2 - 1; a
+    height past it raises HeightBoundError (an explicit check, so it holds
+    under python -O too).
     """
     _require_coeffs_nonzero(params)
     a1 = abs(params.A)
@@ -371,7 +378,8 @@ def ratio_height(params: SequenceParams) -> RatioHeight:
         m_coef = -(2 * Q * Q - 2 * P * Q * a1 + P * P * (a1 * a1 - 2 * B))
         coeffs = _primitive([n_coef, m_coef, n_coef])
         rh = RatioHeight(coeffs, max(abs(c) for c in coeffs), False)
-    assert _height_bound_ok(a1, B, P, Q, rh.height), "height bound violated"
+    if not _height_bound_ok(a1, B, P, Q, rh.height):
+        raise HeightBoundError(f"height {rh.height} of {params} exceeds its bound")
     return rh
 
 

@@ -26,7 +26,7 @@ from . import __version__, kernels
 from .core import Kind, SequenceParams, classify
 from .growth import (empirical_nonreal_threshold, height_sandwich_check,
                      nonreal_threshold_formula, ratio_height, real_case_branch,
-                     BranchKind, DegenerateInputError)
+                     BranchKind, DegenerateInputError, HeightBoundError)
 from .logbounds import below_log_affine
 from .zeros import (AllZero, NoZero, PeriodicZeros, ZeroAt, ZeroTail,
                     construct_zero_at, find_zero, normalized_for_bound,
@@ -286,7 +286,7 @@ def _process_pair(job) -> dict:
                                 flags.append("height-sandwich")
                     except DegenerateInputError:
                         pass
-                    except AssertionError:
+                    except HeightBoundError:
                         violations += 1
                         flags.append("height-bound")
                 rec["height"] = height

@@ -1,6 +1,10 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
+import brigkit
 from brigkit import SequenceParams, classify
 from brigkit.core import DegenerateInputError, Kind
 from brigkit.growth import (BranchKind, GrowthCase, check_lucas_growth,
@@ -211,6 +215,32 @@ def test_lucas_growth_nonreal_conservative():
 def test_ratio_height_quadratic_example():
     rh = ratio_height(SequenceParams(1, -1, 1, 1))
     assert rh.coeffs == (1, 3, 1) and rh.height == 3 and not rh.linear
+
+
+_HEIGHT_BOUND_UNDER_O = """
+import brigkit.growth as g, brigkit.sweep as sw
+from brigkit import SequenceParams
+assert not __debug__
+g._height_bound_ok = lambda *args: False
+try:
+    g.ratio_height(SequenceParams(1, -1, 1, 1))
+    print("returned")
+except g.HeightBoundError:
+    print("raised")
+cfg = sw.SweepConfig(a_range=(1, 1), b_range=(-1, -1), p_range=(1, 1),
+                     q_range=(1, 1), checks=("height",))
+report, violations = sw.run_sweep(cfg)
+print(violations, ",".join(report["records"][0]["flags"]))
+"""
+
+
+def test_height_bound_survives_optimized_mode():
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(brigkit.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-O", "-c", _HEIGHT_BOUND_UNDER_O],
+                         env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.split("\n")[:2] == ["raised", "1 height-bound"]
 
 
 def test_ratio_height_rational_cases():

@@ -15,6 +15,7 @@ from brigkit.core import Kind
 from brigkit.growth import (BranchKind, check_lucas_growth,
                             check_nonreal_growth, check_real_growth,
                             real_case_branch)
+from conftest import iter_terms
 
 try:
     from brigkit import _kernels_c as compiled
@@ -71,6 +72,17 @@ def test_backend_growth_scan_parity():
                     and a * a > 4 * b:
                 assert (compiled.lucas_growth_scan(a, b, 2, 150)
                         == pure.lucas_growth_scan(a, b, 2, 150))
+
+
+@settings(max_examples=200)
+@given(small, small, small, small, st.integers(0, 300))
+def test_term_window_matches_recurrence(a, b, p, q, n):
+    assert pure.term_window(a, b, p, q, n) == tuple(iter_terms(a, b, p, q, n + 1)[n:])
+
+
+def test_term_window_rejects_negative_index():
+    with pytest.raises(ValueError):
+        pure.term_window(1, -1, 0, 1, -1)
 
 
 def test_zero_scan_matches_window_iteration():

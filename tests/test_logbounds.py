@@ -1,26 +1,61 @@
 import math
 from fractions import Fraction
 
+import mpmath
+import pytest
 from hypothesis import given, strategies as st
 
+from brigkit import logbounds
 from brigkit.logbounds import (below_log_affine, ceil_log_affine,
-                               exceeds_log_affine, ln_enclosure,
-                               upper_log_loglog)
+                               exceeds_log_affine, floor_log_squared,
+                               ln_bounds, upper_log_loglog)
+
+_DPS = 400   # ~1330 bits: past 2^512 * ln(2^4096) by hundreds of bits
+
+
+def _ln_scaled(num, den, prec):
+    with mpmath.workdps(_DPS):
+        return mpmath.log(mpmath.mpf(num) / den) * mpmath.mpf(2) ** prec
+
+
+def _assert_brackets(num, den, prec):
+    lo, hi = ln_bounds(num, den, prec)
+    v = _ln_scaled(num, den, prec)
+    assert lo <= v <= hi
+    assert 0 <= hi - lo <= 2
 
 
 @given(st.integers(1, 10 ** 12))
-def test_ln_enclosure_brackets(x):
-    lo, hi = ln_enclosure(x)
-    assert lo <= hi
-    v = math.log(x)
-    # float log is accurate to ~1e-15 relative; the enclosure is far tighter
-    assert float(lo) <= v + 1e-9
-    assert float(hi) >= v - 1e-9
-    assert hi - lo < Fraction(1, 10 ** 9)
+def test_ln_bounds_brackets(x):
+    _assert_brackets(x, 1, 64)    # width <= 2^-63, far tighter than 1e-9
 
 
-def test_ln_enclosure_exact_at_one():
-    assert ln_enclosure(1) == (0, 0)
+@given(st.integers(1, 2 ** 4096), st.integers(0, 512))
+def test_ln_bounds_big_integers(x, prec):
+    _assert_brackets(x, 1, prec)
+
+
+@given(st.integers(0, 2 ** 4096), st.integers(0, 4096), st.integers(0, 512))
+def test_ln_bounds_dyadic_rationals(extra, shift, prec):
+    den = 1 << shift
+    _assert_brackets(den + extra, den, prec)
+
+
+def test_ln_bounds_exact_at_one():
+    for prec in (0, 64, 1000):
+        assert ln_bounds(1, 1, prec) == (0, 0)
+        assert ln_bounds(7, 7, prec) == (0, 0)
+
+
+def test_ln_bounds_exact_powers_of_two_stay_tight():
+    # m = 1: only the ln 2 series contributes
+    _assert_brackets(1 << 4000, 1, 200)
+
+
+def test_ln_bounds_rejects_bad_arguments():
+    for num, den, prec in [(1, 2, 10), (0, 1, 10), (1, 0, 10), (1, -1, 10), (3, 1, -1)]:
+        with pytest.raises(ValueError):
+            ln_bounds(num, den, prec)
 
 
 def test_pinned_search_bound_ceilings():
@@ -49,14 +84,88 @@ def test_strict_tests_against_float(n, x):
         assert below_log_affine(n, 5, x, 12) == (n < v)
 
 
+@given(st.integers(1, 2 ** 4096), st.integers(-10 ** 6, 10 ** 6), st.integers(1, 1000))
+def test_affine_decisions_against_mpmath(x, c_num, c_den):
+    c = Fraction(c_num, c_den)
+    with mpmath.workdps(_DPS):
+        v = c_num * mpmath.log(x) / c_den + 7
+        n = int(mpmath.nint(v))
+        assert ceil_log_affine(c, x, 7) == int(mpmath.ceil(v))
+        assert exceeds_log_affine(n, c, x, 7) == (n > v)
+        assert below_log_affine(n, c, x, 7) == (n < v)
+        assert floor_log_squared(c, x) == int(mpmath.floor(c_num * mpmath.log(x) ** 2 / c_den))
+
+
+def test_floor_log_squared_examples():
+    assert floor_log_squared(100, 10) == 530     # 100 * 2.3026^2 = 530.18...
+    assert floor_log_squared(100, 1) == 0
+    assert floor_log_squared(0, 1000) == 0
+    assert floor_log_squared(-1, 3) == -2        # -(ln 3)^2 = -1.2069...
+
+
 def test_threshold_formula_guard_and_growth():
     assert upper_log_loglog(50, 1) == 1
     assert upper_log_loglog(50, 2) == 1
+    assert upper_log_loglog(0, 1000) == 1
+    assert upper_log_loglog(-3, 1000) == 1
     v = upper_log_loglog(50, 1000)
-    # 50 * ln(1000) * (ln ln 1000)^2 = 50 * 6.9078 * 3.7329 = 1289.3...
-    assert v >= 1290 and v <= 1291
-    # doubling the constant doubles the bound (same enclosure scales)
-    assert upper_log_loglog(100, 1000) in (2 * v - 1, 2 * v)
+    # 50 * ln(1000) * (ln ln 1000)^2 = 50 * 6.90776 * 3.73512 = 1290.06...
+    assert v == 1291
+    # 100 * ... = 2580.13...: the exact ceiling, not twice the rounded one
+    assert upper_log_loglog(100, 1000) == 2 * v - 1
+
+
+# upper_log_loglog(50, x) for x = 3..104, as the 40-term Fraction enclosure
+# this module used before the fixed-point rewrite computed it.  It covers
+# every x = B|P| + |Q| of the growth sweeps over |P|, |Q| <= 8.
+_LOGLOG_50 = [
+    1, 8, 19, 31, 44, 56, 69, 81, 92, 103, 114, 125, 135, 145, 154, 163, 172,
+    181, 189, 197, 205, 213, 220, 228, 235, 242, 249, 255, 262, 268, 274, 281,
+    287, 292, 298, 304, 309, 315, 320, 325, 331, 336, 341, 346, 350, 355, 360,
+    364, 369, 373, 378, 382, 387, 391, 395, 399, 403, 407, 411, 415, 419, 423,
+    427, 430, 434, 438, 441, 445, 449, 452, 456, 459, 462, 466, 469, 472, 476,
+    479, 482, 485, 488, 491, 494, 498, 501, 504, 507, 509, 512, 515, 518, 521,
+    524, 527, 529, 532, 535, 538, 540, 543, 546, 548,
+]
+
+
+def test_upper_log_loglog_pinned_table():
+    assert [upper_log_loglog(50, x) for x in range(3, 105)] == _LOGLOG_50
+
+
+@pytest.mark.parametrize("x", [3 ** 2584, (1 << 4095) + 12345, (1 << 4096) - 1])
+def test_upper_log_loglog_is_the_exact_ceiling_at_4096_bits(x):
+    v = upper_log_loglog(50, x)
+    with mpmath.workdps(_DPS):
+        exact = 50 * mpmath.log(x) * mpmath.log(mpmath.log(x)) ** 2
+    assert v - 1 < exact <= v
+
+
+# -- loops that cannot decide raise instead of returning a verdict ------------
+
+_DECISIONS = [
+    lambda: ceil_log_affine.__wrapped__(9, 6, 12),
+    lambda: exceeds_log_affine.__wrapped__(20, 5, 7, 12),
+    lambda: below_log_affine.__wrapped__(20, 5, 7, 12),
+    lambda: floor_log_squared(100, 10),
+    lambda: upper_log_loglog.__wrapped__(50, 1000),
+]
+
+
+@pytest.mark.parametrize("decision", _DECISIONS)
+def test_never_separating_bounds_raise(monkeypatch, decision):
+    # bounds of width 2^20 at every precision never decide anything
+    monkeypatch.setattr(logbounds, "ln_bounds",
+                        lambda num, den, prec: (0, 1 << (prec + 20)))
+    with pytest.raises(ArithmeticError):
+        decision()
+
+
+@pytest.mark.parametrize("decision", _DECISIONS)
+def test_cap_below_start_raises(monkeypatch, decision):
+    monkeypatch.setattr(logbounds, "MAX_PREC", logbounds.START_PREC // 2)
+    with pytest.raises(ArithmeticError):
+        decision()
 
 
 def test_scaled_ceiling():
