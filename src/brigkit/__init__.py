@@ -12,15 +12,13 @@ from .core import (DegenerateInputError, Discriminant, Kind, Reason,
                    SequenceClass, SequenceParams, classify, coeff_gcd,
                    discriminant, normalize_gcd, reduce_d)
 from .exactnum import (MismatchedRadicandError, QuadElem, alpha_power,
-                       beta_power, quad_add, quad_mul, quad_neg, quad_scale,
-                       quad_sign)
+                       beta_power)
 from .growth import (BranchKind, GrowthBranch, GrowthCase, GrowthReport,
                      HeightBoundError, Margin, RatioHeight, check_lucas_growth,
                      check_nonreal_growth, check_real_growth,
                      check_sharp_growth, empirical_nonreal_threshold,
                      height_sandwich_check, nonreal_threshold_formula,
                      ratio_height, ratio_value, real_case_branch)
-from .kernels import backend_name
 from .terms import (LucasPair, TermWindow, coeffs, gcd_consecutive_U,
                     lucas_U, lucas_V, lucas_pair, lucas_uv, term_fast,
                     term_iter, term_window)

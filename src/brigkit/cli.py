@@ -20,7 +20,6 @@ from .growth import (HeightBoundError, check_lucas_growth, check_nonreal_growth,
                      empirical_nonreal_threshold, height_sandwich_check,
                      nonreal_threshold_formula, ratio_height,
                      DEFAULT_C_LUCAS_NONREAL)
-from .kernels import backend_name
 from .sweep import (SweepConfig, SweepConfigError, config_from_dict,
                     render_csv, render_json, run_sweep, write_report,
                     zero_result_dict)
@@ -50,7 +49,7 @@ def build_parser() -> argparse.ArgumentParser:
                      description="exact toolkit for binary recurrence sequences "
                                  "u_n = A*u_(n-1) - B*u_(n-2)")
     parser.add_argument("--version", action="version",
-                        version=f"brigkit {__version__} ({backend_name()} kernels)")
+                        version=f"brigkit {__version__}")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     p_cls = sub.add_parser("classify", help="classify a sequence")
@@ -104,7 +103,8 @@ def build_parser() -> argparse.ArgumentParser:
                       help="comma list: zeros,growth,height,lucas,zero-family")
     p_sw.add_argument("--kmax", type=int, default=25)
     p_sw.add_argument("--jobs", type=int, default=1,
-                      help="worker processes (BRIGKIT_THREADS overrides)")
+                      help="worker processes; the report is the same at any "
+                           "count (with --config, its parallelism key)")
     p_sw.add_argument("--out", type=str, help="report path (default stdout)")
     p_sw.add_argument("--format", choices=["json", "csv"], default="json")
     return parser

@@ -179,28 +179,6 @@ class QuadElem:
         return f"QuadElem({self.r} + {self.s}*sqrt({self.delta}))"
 
 
-# Spec-level functional aliases; the operators above are the native surface.
-
-def quad_add(x: QuadElem, y: QuadElem) -> QuadElem:
-    return x + y
-
-
-def quad_mul(x: QuadElem, y: QuadElem) -> QuadElem:
-    return x * y
-
-
-def quad_neg(x: QuadElem) -> QuadElem:
-    return -x
-
-
-def quad_scale(x: QuadElem, c) -> QuadElem:
-    return x * Fraction(c)
-
-
-def quad_sign(x: QuadElem) -> int:
-    return x.sign()
-
-
 def alpha_power(A: int, B: int, m: int) -> QuadElem:
     """alpha^m for the dominant root alpha = (A + sqrt(A^2-4B))/2, delta >= 0.
 

@@ -344,25 +344,14 @@ def _process_pair(job) -> dict:
             "discrepancies": discrepancies, "violations": violations}
 
 
-def _resolve_parallelism(cfg: SweepConfig) -> int:
-    env = os.environ.get("BRIGKIT_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise SweepConfigError(f"bad BRIGKIT_THREADS value {env!r}")
-    return cfg.parallelism
-
-
 def run_sweep(config: SweepConfig) -> tuple[dict, int]:
     """Execute the sweep; returns (report, assertion_violation_count)."""
     config.validate()
     jobs = [(a, b, config)
             for a in range(config.a_range[0], config.a_range[1] + 1)
             for b in range(config.b_range[0], config.b_range[1] + 1)]
-    procs = _resolve_parallelism(config)
-    if procs > 1 and len(jobs) > 1:
-        with multiprocessing.Pool(procs) as pool:
+    if config.parallelism > 1 and len(jobs) > 1:
+        with multiprocessing.Pool(config.parallelism) as pool:
             results = pool.map(_process_pair, jobs, chunksize=8)
     else:
         results = [_process_pair(j) for j in jobs]

@@ -26,11 +26,6 @@ from brigkit.zeros import DEFAULT_C4, normalized_for_bound
 from conftest import iter_lucas_u
 
 
-@pytest.fixture(autouse=True)
-def _no_thread_env(monkeypatch):
-    monkeypatch.delenv("BRIGKIT_THREADS", raising=False)
-
-
 def _announce(num, detail):
     print(f"\nACCEPTANCE {num}: PASS - {detail}")
 
@@ -242,9 +237,8 @@ def test_criterion_09_performance(monkeypatch):
     assert violations == 0
     assert SweepConfig(a_range=(0, 0), b_range=(1, 1), p_range=(0, 0),
                        q_range=(1, 1)).n_horizon <= 10_000
-    _announce(9, f"u_n at n=10^6 ({digits} digits) in {elapsed:.2f}s on the "
-                 f"{kernels.backend_name()} backend; sweeps never touch the "
-                 f"linear-time path")
+    _announce(9, f"u_n at n=10^6 ({digits} digits) in {elapsed:.2f}s; sweeps "
+                 "never touch the linear-time path")
 
 
 def test_criterion_10_inexplicit_constants_are_config_only():

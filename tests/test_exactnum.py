@@ -4,8 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from brigkit.exactnum import (MismatchedRadicandError, QuadElem, alpha_power,
-                              beta_power, quad_add, quad_mul, quad_neg,
-                              quad_scale, quad_sign)
+                              beta_power)
 
 from conftest import interval_sign, iter_lucas_u, iter_lucas_v
 
@@ -46,15 +45,6 @@ def test_mismatched_radicand_raises():
         q(1, 1, 5) + q(1, 1, 7)
     # rational payloads mix freely
     assert q(2, 0, 5) + q(1, 1, 7) == q(3, 1, 7)
-
-
-def test_operator_aliases():
-    x, y = q(1, 2, 5), q(3, -1, 5)
-    assert quad_add(x, y) == x + y
-    assert quad_mul(x, y) == x * y
-    assert quad_neg(x) == -x
-    assert quad_scale(x, Fraction(3, 2)) == x * Fraction(3, 2)
-    assert quad_sign(x) == x.sign()
 
 
 def test_division_and_powers():

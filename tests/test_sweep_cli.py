@@ -58,16 +58,6 @@ def test_sweep_determinism_across_parallelism(small_report):
     assert render_json(report1) == render_json(report2)
 
 
-def test_env_var_overrides_parallelism(monkeypatch, small_report):
-    report1, _ = small_report
-    monkeypatch.setenv("BRIGKIT_THREADS", "2")
-    report3, _ = run_sweep(SweepConfig(**SMALL))
-    assert render_json(report1) == render_json(report3)
-    monkeypatch.setenv("BRIGKIT_THREADS", "zebra")
-    with pytest.raises(SweepConfigError):
-        run_sweep(SweepConfig(**SMALL))
-
-
 def test_json_round_trip(small_report):
     report, _ = small_report
     text = render_json(report)
