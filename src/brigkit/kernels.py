@@ -3,13 +3,19 @@
 Everything here is plain integer arithmetic: comparisons against
 sqrt(delta) are pre-squared, comparisons against powers of roots use
 Lucas-pair representations, so no rationals and no floating point appear in
-any loop.  The kernels call lucas_u_pair through this module's globals, so a
-wrapper set on brigkit.kernels.lucas_u_pair sees every call.
+any loop.  The zero scan first runs the recurrence on residues modulo a
+prime: a nonzero residue proves u_n != 0, so the screen only rules indices
+out, and the exact recurrence decides every index it leaves.  The kernels
+call lucas_u_pair through this module's globals, so a wrapper set on
+brigkit.kernels.lucas_u_pair sees every call.
 """
 
 from __future__ import annotations
 
 from math import isqrt
+
+# Largest prime below 2^30: every residue is a single CPython digit.
+_SCREEN_PRIME = 1_073_741_789
 
 
 def lucas_u_pair(A: int, B: int, n: int) -> tuple[int, int]:
@@ -71,13 +77,30 @@ def term_iter(A: int, B: int, P: int, Q: int, n: int) -> int:
 
 
 def zero_scan(A: int, B: int, P: int, Q: int, lo: int, hi: int) -> list[int]:
-    """All k in [lo, hi] with u_k = 0, by plain iteration."""
+    """All k in [lo, hi] with u_k = 0.
+
+    Two passes.  The screen runs the recurrence modulo _SCREEN_PRIME over
+    [1, hi] and keeps the last index whose residue is 0; u_k is not 0 mod
+    the prime implies u_k != 0, so no zero lies past that index.  The exact
+    pass then iterates the integer recurrence up to it and returns its hits:
+    a residue never decides a verdict, and a false residue hit only makes
+    the exact pass longer.
+    """
+    m = _SCREEN_PRIME
+    a, b = A % m, B % m
+    prev, cur = P % m, Q % m
+    last = 0
+    for n in range(1, hi + 1):
+        if not cur:
+            last = n
+        prev, cur = cur, (a * cur - b * prev) % m
+
     hits = []
     prev, cur = P, Q
     if lo == 0 and hi >= 0 and P == 0:
         hits.append(0)
     n = 1
-    while n <= hi:
+    while n <= last:
         if n >= lo and cur == 0:
             hits.append(n)
         prev, cur = cur, A * cur - B * prev

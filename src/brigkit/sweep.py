@@ -9,7 +9,9 @@ exponentially and would overflow 64-bit JSON consumers).
 Violations are graded: an "assertion" violation (a proved bound failing, an
 oracle mismatch) flips the exit status; "informational" findings (small-k
 zero-bound excursions in the non-real case, thresholds beyond the horizon
-for configured constants) are listed under discrepancies only.
+for configured constants) are listed under discrepancies only.  A pair whose
+checkers raise is reported as an assertion-grade "internal-error" and the
+sweep goes on with the other pairs.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import io
 import json
 import multiprocessing
 import os
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -31,6 +34,11 @@ from .logbounds import below_log_affine
 from .zeros import (AllZero, NoZero, PeriodicZeros, ZeroAt, ZeroTail,
                     construct_zero_at, find_zero, normalized_for_bound,
                     ConstructionError, DEFAULT_C4)
+
+# The second-largest prime below 2^30 (the zero-scan kernel screens with the
+# largest), so the oracle shares neither code nor modulus with the scan it
+# referees; every residue is a single CPython digit.
+_ORACLE_PRIME = 1_073_741_783
 
 ALL_CHECKS = ("zeros", "growth", "height", "lucas", "zero-family")
 
@@ -127,17 +135,30 @@ def config_from_dict(data: dict) -> SweepConfig:
 def brute_force_zero_oracle(params: SequenceParams, horizon: int) -> list[int]:
     """All k <= horizon with u_k = 0, by plain iteration.
 
-    Deliberately independent of the kernel backends: no normalization, no
-    bounds, no doubling; this is the referee for every ZeroResult.
+    Deliberately independent of the kernels: no normalization, no bounds,
+    no doubling, and its own loop and prime; this is the referee for every
+    ZeroResult.  A pass modulo _ORACLE_PRIME finds the last index whose
+    residue is 0 (a nonzero residue proves u_k != 0); the exact recurrence
+    then runs up to that index and decides every hit.
     """
+    m = _ORACLE_PRIME
+    A, B = params.A, params.B
+    last = 0
+    r_a, r_b = A % m, B % m
+    r_prev, r_cur = params.P % m, params.Q % m
+    for n in range(1, horizon + 1):
+        if r_cur == 0:
+            last = n
+        r_prev, r_cur = r_cur, (r_a * r_cur - r_b * r_prev) % m
+
     hits = []
     prev, cur = params.P, params.Q
     if prev == 0:
         hits.append(0)
-    for n in range(1, horizon + 1):
+    for n in range(1, last + 1):
         if cur == 0:
             hits.append(n)
-        prev, cur = cur, params.A * cur - params.B * prev
+        prev, cur = cur, A * cur - B * prev
     return hits
 
 
@@ -176,7 +197,28 @@ def zero_result_dict(result) -> dict:
 
 
 def _process_pair(job) -> dict:
-    """All records and findings for one (A, B) pair (runs in a worker)."""
+    """All records and findings for one (A, B) pair (runs in a worker).
+
+    An exception inside the checkers becomes one assertion-grade
+    internal-error discrepancy and one violation for the pair, which then
+    contributes no records; its traceback goes to stderr.  One crashing
+    pair does not lose the sweep.
+    """
+    try:
+        return _check_pair(job)
+    except Exception as exc:
+        import traceback  # only a crashing pair pays for this import
+        a, b, _ = job
+        sys.stderr.write(f"internal error in pair ({a}, {b}):\n"
+                         f"{traceback.format_exc()}")
+        return {"records": [], "family": [], "violations": 1,
+                "discrepancies": [{
+                    "grade": "assertion", "check": "internal-error",
+                    "a": str(a), "b": str(b),
+                    "error": f"{type(exc).__name__}: {exc}"}]}
+
+
+def _check_pair(job) -> dict:
     a, b, cfg = job
     records = []
     discrepancies = []

@@ -17,8 +17,8 @@ from math import gcd
 from typing import Union
 
 from . import kernels
-from .core import (DegenerateInputError, Kind, Reason, SequenceParams,
-                   classify, normalize_gcd, reduce_d)
+from .core import (DegenerateInputError, Kind, Reason, SequenceClass,
+                   SequenceParams, classify, normalize_gcd, reduce_d)
 from .logbounds import ceil_log_affine
 
 DEFAULT_C4 = 10_000
@@ -101,7 +101,12 @@ def zero_search_bound(params: SequenceParams, c4_config: int = DEFAULT_C4,
     explicit override replaces the formula entirely (and is the caller's
     responsibility).
     """
-    cls = classify(params)
+    return _search_bound(params, classify(params), c4_config, override)
+
+
+def _search_bound(params: SequenceParams, cls: SequenceClass, c4_config: int,
+                  override: int | None) -> SearchBound:
+    """zero_search_bound for a sequence already classified as cls."""
     if cls.is_degenerate:
         raise DegenerateInputError(f"no search bound for {cls.label()}")
     if override is not None:
@@ -130,12 +135,12 @@ def find_zero(params: SequenceParams, c4_config: int = DEFAULT_C4,
     """
     cls = classify(params)
     if cls.is_degenerate:
-        return degenerate_zeros(params)
+        return _degenerate_zeros(params, cls)
     if params.P == 0:
         return ZeroAt(0)
     if params.Q == 0:
         return ZeroAt(1)
-    bound = zero_search_bound(params, c4_config, override)
+    bound = _search_bound(params, cls, c4_config, override)
     hits = kernels.zero_scan(params.A, params.B, params.P, params.Q, 0, bound.n_max)
     if len(hits) > 1:
         raise InvariantViolationError(
@@ -151,7 +156,11 @@ def find_zero(params: SequenceParams, c4_config: int = DEFAULT_C4,
 
 def degenerate_zeros(params: SequenceParams) -> ZeroResult:
     """Exact zero sets for every degenerate class."""
-    cls = classify(params)
+    return _degenerate_zeros(params, classify(params))
+
+
+def _degenerate_zeros(params: SequenceParams, cls: SequenceClass) -> ZeroResult:
+    """degenerate_zeros for a sequence already classified as cls."""
     if not cls.is_degenerate:
         raise DegenerateInputError("degenerate_zeros needs a degenerate sequence")
     A, B, P, Q = params.A, params.B, params.P, params.Q

@@ -1,13 +1,17 @@
+import hashlib
 import json
 from fractions import Fraction
 
 import pytest
 
-from brigkit import SequenceParams
+from brigkit import SequenceParams, classify, kernels
+from brigkit import sweep as sweep_mod
 from brigkit.cli import main
+from brigkit.core import Reason
 from brigkit.sweep import (SweepConfig, SweepConfigError, brute_force_zero_oracle,
                            config_from_dict, parse_csv, render_csv, render_json,
                            reserialize_csv, run_sweep)
+from conftest import iter_terms
 
 SMALL = dict(a_range=(-3, 3), b_range=(-3, 3), p_range=(-2, 2), q_range=(-2, 2),
              n_horizon=60, c4=120, zero_k_max=8, uniqueness_horizon=400,
@@ -25,6 +29,27 @@ def test_oracle_examples():
     assert brute_force_zero_oracle(SequenceParams(1, -1, 0, 1), 60) == [0]
     p, q = 2 ** 17 - 1, 2 ** 17 - 2
     assert brute_force_zero_oracle(SequenceParams(3, 2, p, q), 5000) == [17]
+
+
+@pytest.mark.parametrize("prime", [None, 2, 3, 7])
+def test_oracle_matches_plain_recurrence_on_degenerate_grid(monkeypatch, prime):
+    """The screened oracle against conftest's recurrence, degenerate classes
+    included; small primes make residue hits frequent, so the exact pass
+    decides most indices."""
+    if prime is not None:
+        monkeypatch.setattr(sweep_mod, "_ORACLE_PRIME", prime)
+    reasons = set()
+    for a in range(-4, 5):
+        for b in range(-4, 5):
+            for p in range(-2, 3):
+                for q in range(-2, 3):
+                    params = SequenceParams(a, b, p, q)
+                    reasons.add(classify(params).reason)
+                    terms = iter_terms(a, b, p, q, 80)
+                    expected = [k for k, u in enumerate(terms) if u == 0]
+                    assert brute_force_zero_oracle(params, 80) == expected, params
+    assert {Reason.A_ZERO, Reason.B_ZERO, Reason.EQUAL_ROOTS,
+            Reason.BOTH_INITIAL_ZERO} <= reasons
 
 
 def test_config_validation():
@@ -257,3 +282,62 @@ def test_conditional_zero_misses_grade_informational():
     disc = report["discrepancies"]
     assert len(disc) == 1 and disc[0]["grade"] == "informational"
     assert report["records"][0]["zero"]["oracle_agree"] is False
+
+
+def test_faulty_zero_scan_is_caught_by_the_oracle(monkeypatch):
+    """A scan that drops a real hit must surface as an assertion-grade
+    zero-oracle mismatch: the oracle does not go through the kernels."""
+    real_scan = kernels.zero_scan
+    monkeypatch.setattr(kernels, "zero_scan",
+                        lambda *args: [k for k in real_scan(*args) if k != 5])
+    # (3, 6, 5, 6) vanishes at k = 5 and nowhere else
+    cfg = SweepConfig(a_range=(3, 3), b_range=(6, 6), p_range=(4, 5),
+                      q_range=(6, 6), n_horizon=40, c4=120, checks=("zeros",),
+                      oracle_floor=200, parallelism=1)
+    report, violations = run_sweep(cfg)
+    assert violations == 1
+    bad = [r for r in report["records"] if "zero-oracle-mismatch" in r["flags"]]
+    assert [r["params"]["p"] for r in bad] == ["5"]
+    assert report["discrepancies"] == [{
+        "grade": "assertion", "check": "zero-oracle",
+        "a": "3", "b": "6", "p": "5", "q": "6"}]
+
+
+def test_crashing_pair_is_reported_and_the_sweep_goes_on(monkeypatch, capsys):
+    real_find_zero = sweep_mod.find_zero
+
+    def find_zero(params, *args):
+        if (params.A, params.B) == (1, 2):
+            raise RuntimeError("boom")
+        return real_find_zero(params, *args)
+
+    monkeypatch.setattr(sweep_mod, "find_zero", find_zero)
+    cfg = SweepConfig(a_range=(0, 1), b_range=(1, 2), p_range=(-1, 1),
+                      q_range=(-1, 1), n_horizon=40, c4=60, zero_k_max=5,
+                      uniqueness_horizon=100, oracle_floor=100, parallelism=1)
+    report, violations = run_sweep(cfg)
+    assert violations == 1
+    assert report["discrepancies"] == [{
+        "grade": "assertion", "check": "internal-error", "a": "1", "b": "2",
+        "error": "RuntimeError: boom"}]
+    pairs = {(r["params"]["a"], r["params"]["b"]) for r in report["records"]}
+    assert pairs == {("0", "1"), ("0", "2"), ("1", "1")}
+    assert report["summary"]["records"] == str(3 * 3 * 3)
+    assert "internal error in pair (1, 2)" in capsys.readouterr().err
+
+
+# sha256 of the zeros-sweep box's JSON report (the benchmark's zeros-sweep
+# workload as one run).  The report embeds __version__, so a version bump
+# changes this hash; so does any deliberate change to the report's content.
+ZEROS_SWEEP_SHA256 = "c475e4108aaa2f87bf840978cd9b83fad2f0fcd39c5c87e48dd66862531630e7"
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_zeros_sweep_report_bytes_are_pinned(jobs):
+    cfg = SweepConfig(a_range=(-5, 5), b_range=(-5, 5), p_range=(-3, 3),
+                      q_range=(-3, 3), n_horizon=200,
+                      checks=("zeros", "zero-family"), parallelism=jobs)
+    report, violations = run_sweep(cfg)
+    assert violations == 0
+    digest = hashlib.sha256(render_json(report).encode()).hexdigest()
+    assert digest == ZEROS_SWEEP_SHA256
