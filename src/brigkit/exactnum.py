@@ -5,10 +5,10 @@ integer radicand delta >= 0.  Rationals are fractions.Fraction, which keeps
 them in lowest terms with a positive denominator, so equality and
 cross-multiplied comparison are canonical for free.
 
-The one nontrivial primitive is exact sign determination: for s != 0 and
-irrational sqrt(delta), sign(r + s*sqrt(delta)) with r, s of opposite signs
-equals sign(r) * sign(r^2 - s^2*delta).  No floating point anywhere; every
-inequality verdict downstream rests on this.
+Order rests on one exact sign: sign(r + s*sqrt(delta)) is
+intutil.surd_sign of the integers r.num*s.den and s.num*r.den, which is the
+same primitive the kernels and the growth layer's branch, height and
+sandwich decisions call directly.  No floating point anywhere.
 
 Radicands are not reduced to square-free form (callers fix delta = A^2-4B,
 or 5 for the golden ratio); a perfect-square radicand is folded into the
@@ -21,15 +21,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
-from .intutil import is_square
+from .intutil import is_square, surd_sign
 
 
 class MismatchedRadicandError(ValueError):
     """Arithmetic combined two elements with different irrational radicands."""
-
-
-def _sgn(x) -> int:
-    return (x > 0) - (x < 0)
 
 
 @dataclass(frozen=True)
@@ -143,14 +139,11 @@ class QuadElem:
     # -- order ---------------------------------------------------------------
 
     def sign(self) -> int:
-        """Exact sign of r + s*sqrt(delta)."""
-        sr, ss = _sgn(self.r), _sgn(self.s)
-        if ss == 0:
-            return sr
-        if sr == 0 or sr == ss:
-            return ss if sr == 0 else sr
-        # opposite signs: |r| vs |s|*sqrt(delta), decided by squaring
-        return sr * _sgn(self.r * self.r - self.s * self.s * self.delta)
+        """Exact sign of r + s*sqrt(delta): both denominators are positive,
+        so clearing them leaves the sign of an integer surd."""
+        r, s = self.r, self.s
+        return surd_sign(r.numerator * s.denominator,
+                         s.numerator * r.denominator, self.delta)
 
     def __abs__(self):
         return -self if self.sign() < 0 else self
@@ -195,15 +188,3 @@ def alpha_power(A: int, B: int, m: int) -> QuadElem:
     u, v = terms.lucas_uv(A, B, m)
     return QuadElem(Fraction(v, 2), Fraction(u, 2), delta)
 
-
-def beta_power(A: int, B: int, m: int) -> QuadElem:
-    """beta^m for the conjugate root beta = (A - sqrt(A^2-4B))/2."""
-    from . import terms
-
-    delta = A * A - 4 * B
-    if delta < 0:
-        raise ValueError("beta_power requires a real case (A^2 >= 4B)")
-    if m < 0:
-        raise ValueError("m must be non-negative")
-    u, v = terms.lucas_uv(A, B, m)
-    return QuadElem(Fraction(v, 2), Fraction(-u, 2), delta)

@@ -9,9 +9,11 @@ powers of two against the Fibonacci/Lucas pair at (1, -1).  Non-real case
 (A^2 < 4B): |alpha| = sqrt(B), so the claimed |u_n| >= |alpha|^(2n/3) is the
 pure integer test |u_n|^3 >= B^n.
 
-Every report carries the exact margin whose sign was tested.  Applicability
-thresholds that involve ln|Q| are rounded up with certified enclosures, so
-"applicable" is never claimed before the bound's hypothesis truly holds.
+The branch, height-bound and sandwich decisions call intutil.surd_sign
+(which also decides every QuadElem sign) directly on integers.  Every report
+carries the exact margin whose sign was tested.  Applicability thresholds
+that involve ln|Q| are rounded up with certified enclosures, so "applicable"
+is never claimed before the bound's hypothesis truly holds.
 A < 0 inputs are flipped internally (u_n -> (-1)^n u_n leaves every |u_n|
 unchanged).
 """
@@ -27,6 +29,7 @@ from . import kernels, terms
 from .core import (DegenerateInputError, Kind, Reason, SequenceParams, classify,
                    discriminant)
 from .exactnum import QuadElem, alpha_power
+from .intutil import surd_sign
 from .logbounds import (ceil_log_affine, exceeds_log_affine, floor_log_squared,
                         upper_log_loglog)
 
@@ -103,19 +106,20 @@ def _real_setup(params: SequenceParams):
 def real_case_branch(params: SequenceParams) -> GrowthBranch:
     """Exact branch and sub-case decision with its applicability threshold.
 
-    All comparisons against D = sqrt(A^2-4B) are QuadElem sign tests; the
-    threshold is ceil(6|Q/P| + 6) on the far branch and the certified
-    ceiling of (18 + 7*ln|Q|)*max(1, |Q/P|) on the near branch.
+    Each comparison of A -+ k|Q/P| against D = sqrt(A^2-4B) is multiplied
+    through by |P| and decided by one surd_sign on (A|P| -+ k|Q|, +-|P|,
+    delta).  The threshold is ceil(6|Q/P|) + 6 on the far branch and the
+    certified ceiling of (18 + 7*ln|Q|)*max(1, |Q/P|) on the near branch.
     """
     a, b, abs_p, abs_q = _real_setup(params)
     delta = a * a - 4 * b
-    q = Fraction(abs_q, abs_p)
-    if QuadElem(a - 6 * q, Fraction(-1), delta).sign() >= 0:
-        return GrowthBranch(BranchKind.FAR, GrowthCase.FAR_POS, ceil(6 * q + 6))
-    if QuadElem(-(a + 6 * q), Fraction(1), delta).sign() >= 0:
-        return GrowthBranch(BranchKind.FAR, GrowthCase.FAR_NEG, ceil(6 * q + 6))
-    n_min = ceil_log_affine(7, abs_q, 18, scale=max(Fraction(1), q))
-    if QuadElem(a - 9 * q, Fraction(1), delta).sign() >= 0:
+    far_min = 6 - (-6 * abs_q // abs_p)
+    if surd_sign(a * abs_p - 6 * abs_q, -abs_p, delta) >= 0:    # A - D >= 6|Q/P|
+        return GrowthBranch(BranchKind.FAR, GrowthCase.FAR_POS, far_min)
+    if surd_sign(-(a * abs_p + 6 * abs_q), abs_p, delta) >= 0:  # D - A >= 6|Q/P|
+        return GrowthBranch(BranchKind.FAR, GrowthCase.FAR_NEG, far_min)
+    n_min = ceil_log_affine(7, abs_q, 18, scale=Fraction(max(abs_q, abs_p), abs_p))
+    if surd_sign(a * abs_p - 9 * abs_q, abs_p, delta) >= 0:     # A + D >= 9|Q/P|
         return GrowthBranch(BranchKind.NEAR, GrowthCase.NEAR_WIDE, n_min)
     return GrowthBranch(BranchKind.NEAR, GrowthCase.NEAR_TIGHT, n_min)
 
@@ -384,12 +388,11 @@ def ratio_height(params: SequenceParams) -> RatioHeight:
 
 
 def _height_bound_ok(a1: int, B: int, P: int, Q: int, h: int) -> bool:
-    # H + 1 <= 2(|Q| + |P|(A+|D|)/2)^2, expanded over sqrt(|delta|)
+    # 2(H + 1) <= (2|Q| + |P|(A+|D|))^2 = (x + y*sqrt|delta|)^2, expanded
     abs_delta = abs(a1 * a1 - 4 * B)
-    x = Fraction(abs(Q)) + Fraction(abs(P) * a1, 2)
-    y = Fraction(abs(P), 2)
-    margin = QuadElem(2 * x * x + 2 * y * y * abs_delta - 1 - h, 4 * x * y, abs_delta)
-    return margin.sign() >= 0
+    x = 2 * abs(Q) + abs(P) * a1
+    y = abs(P)
+    return surd_sign(x * x + y * y * abs_delta - 2 - 2 * h, 2 * x * y, abs_delta) >= 0
 
 
 def ratio_value(params: SequenceParams) -> QuadElem:
@@ -410,8 +413,20 @@ def ratio_value(params: SequenceParams) -> QuadElem:
     return num / den
 
 
+def _quadratic_sandwich(x: int, y: int, delta: int, h1: int) -> bool:
+    """1/h1 < |N/D| < h1 for N = x - y*sqrt(delta), D = x + y*sqrt(delta),
+    both nonzero: with sn, sd their signs, h1*sn*N - sd*D > 0 and
+    h1*sd*D - sn*N > 0."""
+    sn = surd_sign(x, -y, delta)
+    sd = surd_sign(x, y, delta)
+    return (surd_sign((h1 * sn - sd) * x, -(h1 * sn + sd) * y, delta) > 0
+            and surd_sign((h1 * sd - sn) * x, (h1 * sd + sn) * y, delta) > 0)
+
+
 def height_sandwich_check(params: SequenceParams) -> bool:
-    """Exact check of 1/(H+1) < |b/a| < H+1 (real case, a*b != 0)."""
+    """Exact check of 1/(H+1) < |b/a| < H+1 (real case, a*b != 0).  With A
+    sign-normalized, b/a = (Q - P*alpha)/(Q - P*beta) = (x - P*sqrt(delta))/
+    (x + P*sqrt(delta)) for x = 2Q - P*A."""
     cls = classify(params)
     if cls.kind is Kind.NONREAL:
         raise DegenerateInputError(
@@ -419,7 +434,8 @@ def height_sandwich_check(params: SequenceParams) -> bool:
     rh = ratio_height(params)
     h1 = rh.height + 1
     if rh.linear:
-        ratio = abs(Fraction(-rh.coeffs[0], rh.coeffs[1]))
-        return Fraction(1, h1) < ratio < Fraction(h1)
-    g = abs(ratio_value(params))
-    return (g * h1 - 1).sign() > 0 and (h1 - g).sign() > 0
+        c0, c1 = abs(rh.coeffs[0]), abs(rh.coeffs[1])   # |b/a| = c0/c1
+        return c1 < h1 * c0 and c0 < h1 * c1
+    a1 = abs(params.A)
+    P, Q = params.P, (-params.Q if params.A < 0 else params.Q)
+    return _quadratic_sandwich(2 * Q - P * a1, P, a1 * a1 - 4 * params.B, h1)

@@ -1,4 +1,4 @@
-"""Integer helpers: perfect squares, valuations, and gcd-support factoring.
+"""Integer helpers: surd signs, perfect squares, valuations, and factoring.
 
 The only factorization ever performed is of gcd(A, B) when extracting the
 largest d with d | A and d^2 | B; A and B themselves are never factored.
@@ -7,6 +7,27 @@ largest d with d | A and d^2 | B; A and B themselves are never factored.
 from __future__ import annotations
 
 from math import gcd, isqrt
+
+
+def surd_sign(x: int, y: int, d: int) -> int:
+    """Exact sign (-1, 0 or 1) of x + y*sqrt(d) for integers x, y and d >= 0;
+    every sign of a quadratic surd in brigkit is decided here.
+
+    Only opposite signs need work: then the larger square wins.
+    """
+    if d < 0:
+        raise ValueError("radicand must be non-negative")
+    if x > 0:
+        if y >= 0 or not d:
+            return 1
+        big, small = x * x, y * y * d
+    elif x < 0:
+        if y <= 0 or not d:
+            return -1
+        big, small = y * y * d, x * x
+    else:
+        return (y > 0) - (y < 0) if d else 0
+    return (big > small) - (big < small)
 
 
 def is_square(n: int) -> bool:

@@ -1,18 +1,19 @@
 """The integer kernels under brigkit: Lucas pairs, terms, zero and growth scans.
 
-Everything here is plain integer arithmetic: comparisons against
-sqrt(delta) are pre-squared, comparisons against powers of roots use
-Lucas-pair representations, so no rationals and no floating point appear in
-any loop.  The zero scan first runs the recurrence on residues modulo a
-prime: a nonzero residue proves u_n != 0, so the screen only rules indices
-out, and the exact recurrence decides every index it leaves.  The kernels
-call lucas_u_pair through this module's globals, so a wrapper set on
+Everything here is plain integer arithmetic: comparisons against powers of
+roots use Lucas-pair representations, and a bound with a surd in it is
+violated exactly when one intutil.surd_sign of (bound - |u_n|), with
+denominators cleared, is positive; so no rationals and no floating point
+appear in any loop.  The zero scan first runs the recurrence on residues
+modulo a prime: a nonzero residue proves u_n != 0, so the screen only rules
+indices out, and the exact recurrence decides every index it leaves.  The
+kernels call lucas_u_pair through this module's globals, so a wrapper set on
 brigkit.kernels.lucas_u_pair sees every call.
 """
 
 from __future__ import annotations
 
-from math import isqrt
+from .intutil import surd_sign
 
 # Largest prime below 2^30: every residue is a single CPython digit.
 _SCREEN_PRIME = 1_073_741_789
@@ -108,16 +109,6 @@ def zero_scan(A: int, B: int, P: int, Q: int, lo: int, hi: int) -> list[int]:
     return hits
 
 
-def _ge_sqrt(x: int, y: int, delta: int, root: int) -> bool:
-    """Exact x >= y*sqrt(delta) for y >= 0; root = isqrt(delta) if delta is
-    a perfect square, else 0."""
-    if root:
-        return x >= y * root
-    if x < 0:
-        return False
-    return x * x >= y * y * delta
-
-
 def real_growth_scan(A: int, B: int, P: int, Q: int,
                      lo: int, hi: int, far: bool) -> int:
     """First n in [lo, hi] violating the applicable real-case lower bounds,
@@ -133,7 +124,6 @@ def real_growth_scan(A: int, B: int, P: int, Q: int,
     if hi < lo:
         return -1
     delta = A * A - 4 * B
-    root = isqrt(delta) if isqrt(delta) ** 2 == delta else 0
     absq = abs(Q)
     q2 = Q * Q
 
@@ -149,8 +139,8 @@ def real_growth_scan(A: int, B: int, P: int, Q: int,
         for n in range(lo, hi + 1):
             absu = -cur if cur < 0 else cur
             v = 2 * ub - A * ua  # V_{n-2}
-            t = (pw2 >> 1) * absu - absq * v
-            if not _ge_sqrt(t, absq * ua, delta, root):
+            # 2|Q|*alpha^(n-2) = |Q|*(V + U*sqrt(delta)) against 2^(n-1)*|u_n|
+            if surd_sign(absq * v - (pw2 >> 1) * absu, absq * ua, delta) > 0:
                 return n
             if absu * absu * pw2 * pw2 < q2 * pw5:
                 return n
@@ -166,11 +156,10 @@ def real_growth_scan(A: int, B: int, P: int, Q: int,
     for n in range(lo, hi + 1):
         absu = -cur if cur < 0 else cur
         v = 2 * ub - A * ua
-        if not _ge_sqrt(2 * k1 * absu - v, ua, delta, root):
+        if surd_sign(v - 2 * k1 * absu, ua, delta) > 0:
             return n
         ln = 2 * fb - fa  # L_n
-        t = 2 * k2 * absu - ln
-        if t < 0 or t * t < 5 * fa * fa:
+        if surd_sign(ln - 2 * k2 * absu, fa, 5) > 0:  # phi^n = (L_n + F_n*sqrt5)/2
             return n
         prev, cur = cur, A * cur - B * prev
         ua, ub = ub, A * ub - B * ua
@@ -216,7 +205,6 @@ def lucas_growth_scan(A: int, B: int, lo: int, hi: int) -> int:
     if hi < lo:
         return -1
     delta = A * A - 4 * B
-    root = isqrt(delta) if isqrt(delta) ** 2 == delta else 0
     off = 2 if B < 0 else 1
     ua, ub = lucas_u_pair(A, B, lo - off)   # (U_{n-off}, U_{n-off+1})
     un, un1 = lucas_u_pair(A, B, lo)        # (U_n, U_{n+1})
@@ -224,7 +212,7 @@ def lucas_growth_scan(A: int, B: int, lo: int, hi: int) -> int:
     for n in range(lo, hi + 1):
         absu = -un if un < 0 else un
         v = 2 * ub - A * ua
-        if not _ge_sqrt(mult * absu - v, ua, delta, root):
+        if surd_sign(v - mult * absu, ua, delta) > 0:
             return n
         ua, ub = ub, A * ub - B * ua
         un, un1 = un1, A * un1 - B * un

@@ -22,19 +22,11 @@ from .intutil import square_cofactor
 
 class TermWindow(NamedTuple):
     """Adjacent terms (u_n, u_{n+1}); advancing via the recurrence
-    reproduces the sequence."""
+    reproduces the sequence.  The return type of the public term_window."""
 
     n: int
     u_n: int
     u_next: int
-
-
-class LucasPair(NamedTuple):
-    """(U_n, V_n) for parameters (A, B); satisfies V^2 - (A^2-4B)U^2 = 4B^n."""
-
-    n: int
-    u: int
-    v: int
 
 
 def term_iter(params, n: int) -> int:
@@ -57,19 +49,10 @@ def lucas_U(A: int, B: int, n: int) -> int:
     return kernels.lucas_u_pair(A, B, n)[0]
 
 
-def lucas_V(A: int, B: int, n: int) -> int:
-    """Lucas sequence of the second kind: V_0 = 2, V_1 = A."""
-    return kernels.lucas_uv(A, B, n)[1]
-
-
 def lucas_uv(A: int, B: int, n: int) -> tuple[int, int]:
-    """(U_n, V_n) in one doubling pass."""
+    """(U_n, V_n) in one doubling pass; V is the Lucas sequence of the second
+    kind (V_0 = 2, V_1 = A), and V^2 - (A^2-4B)U^2 = 4B^n."""
     return kernels.lucas_uv(A, B, n)
-
-
-def lucas_pair(A: int, B: int, n: int) -> LucasPair:
-    u, v = kernels.lucas_uv(A, B, n)
-    return LucasPair(n, u, v)
 
 
 def coeffs(A: int, B: int, n: int) -> tuple[int, int]:

@@ -1,10 +1,10 @@
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from brigkit.exactnum import (MismatchedRadicandError, QuadElem, alpha_power,
-                              beta_power)
+from brigkit.exactnum import MismatchedRadicandError, QuadElem, alpha_power
 
 from conftest import interval_sign, iter_lucas_u, iter_lucas_v
 
@@ -14,6 +14,17 @@ radicands = st.integers(0, 10 ** 6)
 
 def q(r, s, delta):
     return QuadElem(Fraction(r), Fraction(s), delta)
+
+
+def beta_power(a, b, m):
+    """beta^m for beta = (a - sqrt(delta))/2: the conjugate of alpha^m, except
+    for square delta, where alpha^m is folded into a rational at construction
+    and beta^m is the rational ((a - sqrt(delta))/2)^m."""
+    delta = a * a - 4 * b
+    root = isqrt(delta)
+    if root * root == delta:
+        return QuadElem.rational(Fraction(a - root, 2) ** m, delta)
+    return alpha_power(a, b, m).conjugate()
 
 
 def test_arithmetic_examples():

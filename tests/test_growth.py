@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
+from math import ceil, isqrt
 
 import pytest
 import brigkit
@@ -368,3 +369,122 @@ def test_sharp_bounds_broad_deterministic_sweep():
                         assert rep.bound_holds, (params, n, rep.regime)
                         checked += 1
     assert checked > 5000
+
+
+# -- integer sign decisions against the interval referee ----------------------
+
+def _branch_by_intervals(params):
+    """real_case_branch's case and far threshold, from interval signs of the
+    three comparisons written with rationals; also how many were exact ties."""
+    a, b = abs(params.A), params.B
+    q = Fraction(abs(params.Q), abs(params.P))
+    delta = a * a - 4 * b
+    signs = [interval_sign(a - 6 * q, -1, delta),       # A - D - 6|Q/P|
+             interval_sign(-(a + 6 * q), 1, delta),     # D - A - 6|Q/P|
+             interval_sign(a - 9 * q, 1, delta)]        # A + D - 9|Q/P|
+    assert None not in signs
+    ties = signs.count(0)
+    if signs[0] >= 0:
+        return GrowthCase.FAR_POS, ceil(6 * q + 6), ties
+    if signs[1] >= 0:
+        return GrowthCase.FAR_NEG, ceil(6 * q + 6), ties
+    return (GrowthCase.NEAR_WIDE if signs[2] >= 0 else GrowthCase.NEAR_TIGHT), None, ties
+
+
+def test_branch_against_interval_oracle():
+    grid = [SequenceParams(a, b, p, q) for a in range(-12, 13)
+            for b in range(-12, 13) for p, q in [(1, 1), (3, 1), (1, 2), (-2, 3), (4, -7)]]
+    # one exact tie per comparison (square delta): A - D = 6|Q/P| at (7, 12, 1, 1),
+    # D - A = 6|Q/P| at (1, -12, 1, 1) and (3, -4, 3, 1), A + D = 9|Q/P| at (10, 9, 1, 2)
+    grid += [SequenceParams(7, 12, 1, 1), SequenceParams(1, -12, 1, 1),
+             SequenceParams(3, -4, 3, 1), SequenceParams(10, 9, 1, 2)]
+    cases, squares, ties = set(), 0, 0
+    for params in grid:
+        cls = classify(params)
+        if cls.is_degenerate or cls.kind is not Kind.REAL:
+            continue
+        case, far_min, tie = _branch_by_intervals(params)
+        br = real_case_branch(params)
+        assert br.case is case, params
+        if far_min is not None:
+            assert br.n_min == far_min, params
+        cases.add(case)
+        ties += tie
+        d = params.A ** 2 - 4 * params.B
+        squares += isqrt(d) ** 2 == d
+    assert cases == set(GrowthCase) and squares > 0 and ties >= 4
+
+
+def _largest_passing_height(a1, B, P, Q):
+    """floor(2(|Q| + |P|(A+|D|)/2)^2) - 1 by integer square roots: with
+    X = 2|Q| + |P|A and Y = |P|, that is floor((S + 2XY*sqrt|delta|)/2) - 1
+    for S = X^2 + Y^2|delta|, and floor((S + t)/2) = floor((S + floor t)/2)."""
+    abs_delta = abs(a1 * a1 - 4 * B)
+    x, y = 2 * abs(Q) + abs(P) * a1, abs(P)
+    return (x * x + y * y * abs_delta + isqrt(4 * x * x * y * y * abs_delta)) // 2 - 1
+
+
+def test_height_bound_is_tight_at_its_largest_height():
+    from brigkit.growth import _height_bound_ok
+    exact = 0
+    for a1 in range(0, 9):
+        for b in range(-8, 9):
+            for p, q in [(0, 1), (1, 1), (2, -3), (-1, 2), (3, 4), (5, 0)]:
+                h = _largest_passing_height(a1, b, p, q)
+                assert _height_bound_ok(a1, b, p, q, h), (a1, b, p, q)
+                assert not _height_bound_ok(a1, b, p, q, h + 1), (a1, b, p, q)
+                # at a square |delta| the bound is met with equality when
+                # (X + Y*sqrt|delta|)^2 is even
+                d = abs(a1 * a1 - 4 * b)
+                x, y = 2 * abs(q) + abs(p) * a1, abs(p)
+                exact += isqrt(d) ** 2 == d and (x + y * isqrt(d)) % 2 == 0
+    assert exact > 0
+
+
+def test_quadratic_sandwich_against_interval_oracle():
+    from brigkit.growth import _quadratic_sandwich
+    outcomes, neg = set(), 0
+    for a in range(-9, 10):
+        for b in range(-9, 10):
+            for p, q in [(1, 1), (2, -3), (-1, 4), (3, 5), (1, -7), (5, 2)]:
+                params = SequenceParams(a, b, p, q)
+                cls = classify(params)
+                if cls.is_degenerate or cls.kind is not Kind.REAL:
+                    continue
+                if ratio_height(params).linear:
+                    continue
+                g = ratio_value(params)
+                sg = interval_sign(g.r, g.s, g.delta)
+                assert sg in (-1, 1)
+                neg += sg < 0
+                r, s = sg * g.r, sg * g.s                  # |b/a| = r + s*sqrt(delta)
+                approx = float(r) + float(s) * g.delta ** 0.5
+                a1 = abs(a)
+                x, y = 2 * (q if a >= 0 else -q) - p * a1, p
+                for v in (approx, 1 / approx):
+                    for h1 in range(max(1, int(v) - 1), int(v) + 3):
+                        lower = interval_sign(h1 * r - 1, h1 * s, g.delta)   # h1|g| - 1
+                        upper = interval_sign(h1 - r, -s, g.delta)           # h1 - |g|
+                        assert lower in (-1, 1) and upper in (-1, 1)
+                        want = lower > 0 and upper > 0
+                        assert _quadratic_sandwich(x, y, g.delta, h1) == want, (params, h1)
+                        outcomes.add((want, sg))
+    assert outcomes == {(True, 1), (False, 1), (True, -1), (False, -1)}
+    assert neg > 0
+
+
+def test_linear_sandwich_at_its_boundaries(monkeypatch):
+    """The linear case against Fraction arithmetic, with H + 1 on both sides
+    of |b/a| and 1/|b/a| and equal to each (the inequalities are strict)."""
+    import brigkit.growth as g
+    params = SequenceParams(3, 2, 7, 6)          # real, linear, b/a = 8
+    outcomes = set()
+    for c0, c1 in [(-8, 1), (1, 3), (-5, 3), (3, 5), (-1, 1)]:
+        ratio = Fraction(abs(c0), c1)
+        for h in range(0, 10):
+            monkeypatch.setattr(g, "ratio_height",
+                                lambda p, h=h: g.RatioHeight((c0, c1), h, True))
+            want = Fraction(1, h + 1) < ratio < h + 1
+            assert g.height_sandwich_check(params) == want, (c0, c1, h)
+            outcomes.add((want, h + 1 in (ratio, 1 / ratio)))
+    assert outcomes == {(True, False), (False, False), (False, True)}

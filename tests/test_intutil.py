@@ -1,8 +1,12 @@
+from math import isqrt
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from brigkit.intutil import (is_probable_prime, is_square, prime_factors,
-                             square_cofactor, valuation)
+                             square_cofactor, surd_sign, valuation)
+
+from conftest import interval_sign
 
 
 def brute_square_cofactor(a, b):
@@ -72,3 +76,49 @@ def test_primality_spot_checks():
     assert is_probable_prime(2 ** 61 - 1)          # Mersenne prime
     assert not is_probable_prime(3215031751)       # strong pseudoprime to 2,3,5,7
     assert not is_probable_prime(25326001)
+
+
+# -- surd_sign ----------------------------------------------------------------
+
+BIG = 2 ** 300
+radicands = st.one_of(st.just(0), st.integers(0, 1000).map(lambda k: k * k),
+                      st.integers(0, 10 ** 6))
+
+
+@st.composite
+def surds(draw):
+    """(x, y, d) with |x|, |y| <= 2^300; half the x sit next to -y*sqrt(d),
+    where the sign is hardest (and exactly 0 for square d)."""
+    y = draw(st.integers(-BIG, BIG))
+    d = draw(radicands)
+    if draw(st.booleans()):
+        x = draw(st.integers(-BIG, BIG))
+    else:
+        r = isqrt(y * y * d)
+        x = (-1 if y > 0 else 1) * r + draw(st.integers(-2, 2))
+    return x, y, d
+
+
+@settings(max_examples=500)
+@given(surds())
+@example((3, -1, 9))       # exact zero with square d
+@example((-3, 1, 9))
+@example((5, 0, 7))        # y = 0
+@example((-5, 0, 7))
+@example((0, -4, 3))       # x = 0
+@example((0, 4, 3))
+@example((-2, 5, 0))       # d = 0 with y != 0
+@example((0, 5, 0))
+@example((0, 0, 0))
+def test_surd_sign_against_interval_oracle(xyd):
+    x, y, d = xyd
+    # 200 digits is well past |x| + |y|*sqrt(d) < 10^94, so a nonzero
+    # x^2 - y^2*d always separates the interval from 0
+    want = interval_sign(x, y, d, prec=200)
+    assert want is not None
+    assert surd_sign(x, y, d) == want
+
+
+def test_surd_sign_rejects_negative_radicand():
+    with pytest.raises(ValueError):
+        surd_sign(1, 1, -1)

@@ -1,6 +1,10 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -341,3 +345,54 @@ def test_zeros_sweep_report_bytes_are_pinned(jobs):
     assert violations == 0
     digest = hashlib.sha256(render_json(report).encode()).hexdigest()
     assert digest == ZEROS_SWEEP_SHA256
+
+
+# sha256 of the growth-sweep box's JSON report (the benchmark's growth-sweep
+# workload as one run).  The full |P|, |Q| <= 8 box is needed: smaller boxes
+# never reach growth-threshold-beyond-horizon.  Same __version__ caveat as
+# above.
+GROWTH_SWEEP_SHA256 = "cc58b812ddb13aa463642c1388dafaa73d944f792f476aac66fdb84bea7fec4a"
+
+
+def test_growth_sweep_report_bytes_are_pinned():
+    cfg = SweepConfig(a_range=(-12, 12), b_range=(-3, 3), p_range=(-8, 8),
+                      q_range=(-8, 8), n_horizon=200,
+                      checks=("growth", "lucas", "height"), parallelism=2)
+    report, violations = run_sweep(cfg)
+    assert violations == 0
+    digest = hashlib.sha256(render_json(report).encode()).hexdigest()
+    assert digest == GROWTH_SWEEP_SHA256
+
+
+_TRACED_SWEEP = """
+import sys
+sys.path.insert(0, sys.argv[1])
+import brigkit, brigkit.sweep as sw
+import tracing
+tracer = tracing.Tracer()
+tracer.install(brigkit)
+cfg = sw.SweepConfig(a_range=(1, 3), b_range=(-1, 1), p_range=(-2, 2),
+                     q_range=(-2, 2), n_horizon=60,
+                     checks=("growth", "lucas", "height"))
+report, violations = sw.run_sweep(cfg)
+summary = tracer.summary()
+print(violations, " ".join(sorted(k for k, v in summary.items() if v["calls"])))
+"""
+
+
+def test_perfbench_tracer_installs_and_traces_a_growth_sweep():
+    """perfbench's tracer looks brigkit functions up by name and refuses to
+    install if one is missing, so a refactor that drops a traced name fails
+    here and not only in the traced benchmark."""
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", _TRACED_SWEEP, str(root / "perfbench")],
+                         env=env, capture_output=True, text=True, check=True)
+    violations, names = out.stdout.split("\n")[0].split(" ", 1)
+    assert violations == "0"
+    for name in ("growth.real_case_branch", "growth.ratio_height",
+                 "growth.height_sandwich_check", "kernels.real_growth_scan",
+                 "kernels.lucas_growth_scan", "core.classify"):
+        assert name in names.split()

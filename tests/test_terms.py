@@ -4,9 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from brigkit import SequenceParams
-from brigkit.terms import (coeffs, gcd_consecutive_U, lucas_pair, lucas_U,
-                           lucas_uv, lucas_V, term_fast, term_iter,
-                           term_window)
+from brigkit.terms import (coeffs, gcd_consecutive_U, lucas_U, lucas_uv,
+                           term_fast, term_iter, term_window)
 
 from conftest import iter_lucas_u, iter_lucas_v
 
@@ -43,8 +42,8 @@ def test_negative_index_rejected():
 def test_lucas_examples():
     assert [lucas_U(3, 6, n) for n in range(6)] == [0, 1, 3, 3, -9, -45]
     assert lucas_U(15, 10, 6) == 628875
-    assert (lucas_U(7, 2, 0), lucas_V(7, 2, 0)) == (0, 2)
-    assert lucas_V(1, -1, 1) == 1
+    assert lucas_uv(7, 2, 0) == (0, 2)
+    assert lucas_uv(1, -1, 1)[1] == 1
     # Mersenne numbers: U_n(3, 2) = 2^n - 1
     assert lucas_U(3, 2, 64) == 2 ** 64 - 1
 
@@ -81,7 +80,7 @@ def test_fast_equals_iter(a, b, p, q, n):
 @given(small, small, st.integers(0, 200))
 def test_lucas_against_oracle(a, b, n):
     assert lucas_U(a, b, n) == iter_lucas_u(a, b, n)[n]
-    assert lucas_V(a, b, n) == iter_lucas_v(a, b, n)[n]
+    assert lucas_uv(a, b, n)[1] == iter_lucas_v(a, b, n)[n]
 
 
 @settings(max_examples=150)
@@ -120,5 +119,5 @@ def test_gcd_consecutive_requires_reduced():
 
 
 def test_lucas_pair_named():
-    lp = lucas_pair(1, -1, 10)
-    assert (lp.n, lp.u, lp.v) == (10, 55, 123)
+    # Fibonacci and Lucas numbers at 10, as the (U, V) pair
+    assert lucas_uv(1, -1, 10) == (55, 123)
