@@ -20,9 +20,8 @@ from .growth import (HeightBoundError, check_lucas_growth, check_nonreal_growth,
                      empirical_nonreal_threshold, height_sandwich_check,
                      nonreal_threshold_formula, ratio_height,
                      DEFAULT_C_LUCAS_NONREAL)
-from .sweep import (SweepConfig, SweepConfigError, config_from_dict,
-                    render_csv, render_json, run_sweep, write_report,
-                    zero_result_dict)
+from .sweep import (SweepConfigError, config_from_dict, render_csv,
+                    render_json, run_sweep, write_report, zero_result_dict)
 from .terms import term_fast, term_iter
 from .zeros import (AllZero, InvariantViolationError, NoZero, PeriodicZeros,
                     ZeroAt, ZeroTail, construct_zero_at, find_zero,
@@ -90,23 +89,27 @@ def build_parser() -> argparse.ArgumentParser:
                       help="constant for the non-real threshold formula (rational)")
     p_gr.add_argument("--json", action="store_true")
 
+    # Each flag's dest is a SweepConfig field; a flag left out keeps the
+    # --config file's value, or else the dataclass default.
     p_sw = sub.add_parser("sweep", help="run grid sweeps and write a report")
-    p_sw.add_argument("--config", type=str, help="JSON config file")
-    p_sw.add_argument("--a-range", type=str, help="lo:hi inclusive")
-    p_sw.add_argument("--b-range", type=str)
-    p_sw.add_argument("--p-range", type=str)
-    p_sw.add_argument("--q-range", type=str)
-    p_sw.add_argument("--horizon", type=int, default=200)
-    p_sw.add_argument("--c4", type=int, default=DEFAULT_C4)
-    p_sw.add_argument("--c5", type=str, default="50")
-    p_sw.add_argument("--checks", type=str,
+    p_sw.add_argument("--config", type=str,
+                      help="JSON config file keyed by field name; flags override it")
+    p_sw.add_argument("--a-range", type=_parse_range, help="lo:hi inclusive")
+    p_sw.add_argument("--b-range", type=_parse_range)
+    p_sw.add_argument("--p-range", type=_parse_range)
+    p_sw.add_argument("--q-range", type=_parse_range)
+    p_sw.add_argument("--horizon", dest="n_horizon", type=int)
+    p_sw.add_argument("--c4", type=int)
+    p_sw.add_argument("--c5", type=str)
+    p_sw.add_argument("--checks", type=lambda s: s.split(","),
                       help="comma list: zeros,growth,height,lucas,zero-family")
-    p_sw.add_argument("--kmax", type=int, default=25)
-    p_sw.add_argument("--jobs", type=int, default=1,
-                      help="worker processes; the report is the same at any "
-                           "count (with --config, its parallelism key)")
-    p_sw.add_argument("--out", type=str, help="report path (default stdout)")
-    p_sw.add_argument("--format", choices=["json", "csv"], default="json")
+    p_sw.add_argument("--kmax", dest="zero_k_max", type=int)
+    p_sw.add_argument("--jobs", dest="parallelism", type=int,
+                      help="worker processes, at most one per (A, B) pair; the "
+                           "report is the same at any count")
+    p_sw.add_argument("--out", dest="output_path", type=str,
+                      help="report path (default stdout)")
+    p_sw.add_argument("--format", choices=["json", "csv"])
     return parser
 
 
@@ -215,30 +218,19 @@ def cmd_growth(args) -> int:
     elif args.check == "sharp":
         report = check_sharp_growth(params, args.n)
     elif args.check == "lucas":
-        c1 = Fraction(args.c1) if args.c1 else None
-        try:
-            report = check_lucas_growth(args.a, args.b, args.n, c1)
-        except DegenerateInputError as exc:
-            if c1 is None and "c_nonreal" in str(exc):
-                report = check_lucas_growth(args.a, args.b, args.n,
-                                            DEFAULT_C_LUCAS_NONREAL)
-            else:
-                raise
+        # the real case ignores the constant
+        c1 = DEFAULT_C_LUCAS_NONREAL if args.c1 is None else Fraction(args.c1)
+        report = check_lucas_growth(args.a, args.b, args.n, c1)
     else:  # height
         rh = ratio_height(params)
         try:
             sandwich = height_sandwich_check(params)
-            text = (f"H={rh.height}, poly={rh.coeffs}, "
-                    f"sandwich {'holds' if sandwich else 'FAILS'}")
-            payload = {"h": str(rh.height),
-                       "coeffs": [str(c) for c in rh.coeffs],
-                       "linear": rh.linear, "sandwich_ok": sandwich}
+            verdict = f"sandwich {'holds' if sandwich else 'FAILS'}"
         except DegenerateInputError:
-            text = f"H={rh.height}, poly={rh.coeffs}, |b/a| = 1 (non-real)"
-            payload = {"h": str(rh.height),
-                       "coeffs": [str(c) for c in rh.coeffs],
-                       "linear": rh.linear, "sandwich_ok": None}
-        _emit(args, payload, text)
+            sandwich, verdict = None, "|b/a| = 1 (non-real)"
+        payload = {"h": str(rh.height), "coeffs": [str(c) for c in rh.coeffs],
+                   "linear": rh.linear, "sandwich_ok": sandwich}
+        _emit(args, payload, f"H={rh.height}, poly={rh.coeffs}, {verdict}")
         return 0
     _emit(args, _growth_json(report), _growth_text(report))
     return 0
@@ -257,34 +249,17 @@ def _parse_range(text: str) -> tuple[int, int]:
 
 
 def cmd_sweep(args) -> int:
+    flags = {k: v for k, v in vars(args).items()
+             if v is not None and k not in ("command", "config")}
     try:
+        data = {}
         if args.config:
             with open(args.config) as fh:
                 data = json.load(fh)
-            if args.out:
-                data["output_path"] = args.out
-            cfg = config_from_dict(data)
-        else:
-            missing = [n for n in ("a_range", "b_range", "p_range", "q_range")
-                       if getattr(args, n) is None]
-            if missing:
-                print(f"error: missing {', '.join(m.replace('_', '-') for m in missing)}"
-                      " (or use --config)", file=sys.stderr)
-                return 1
-            checks = tuple(args.checks.split(",")) if args.checks else None
-            cfg = SweepConfig(
-                a_range=_parse_range(args.a_range),
-                b_range=_parse_range(args.b_range),
-                p_range=_parse_range(args.p_range),
-                q_range=_parse_range(args.q_range),
-                n_horizon=args.horizon, c4=args.c4, c5=Fraction(args.c5),
-                parallelism=args.jobs, output_path=args.out,
-                format=args.format,
-                **({"checks": checks} if checks else {}),
-                zero_k_max=args.kmax,
-            )
-            cfg.validate()
-    except (SweepConfigError, OSError, json.JSONDecodeError, ValueError) as exc:
+            if not isinstance(data, dict):
+                raise SweepConfigError("the config file must hold a JSON object")
+        cfg = config_from_dict({**data, **flags})
+    except (SweepConfigError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -6,12 +6,15 @@ report is byte-identical for any parallelism setting.  Reports carry no
 timestamps and serialize every integer as a decimal string (terms grow
 exponentially and would overflow 64-bit JSON consumers).
 
-Violations are graded: an "assertion" violation (a proved bound failing, an
-oracle mismatch) flips the exit status; "informational" findings (small-k
-zero-bound excursions in the non-real case, thresholds beyond the horizon
-for configured constants) are listed under discrepancies only.  A pair whose
-checkers raise is reported as an assertion-grade "internal-error" and the
-sweep goes on with the other pairs.
+Every failure is one discrepancy, and the sweep's violation count is the
+number of assertion-grade ones, which flip the exit status: a proved bound
+failing, an oracle mismatch, a failed height reciprocity, sandwich or bound
+check (these carry a, b, p and q), or a pair whose checkers raise, which is
+reported as an "internal-error" while the sweep goes on with the other
+pairs.  Informational discrepancies are small-k zero-bound excursions in the
+non-real case and zeros beyond a search bound that assumed a too-small c4.
+A growth threshold beyond the horizon is no discrepancy at all, only the
+record flag "growth-threshold-beyond-horizon".
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ import json
 import multiprocessing
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from fractions import Fraction
 
 from . import __version__, kernels
@@ -91,42 +94,41 @@ class SweepConfig:
             raise SweepConfigError(f"unknown checks: {sorted(unknown)}")
 
     def meta(self) -> dict:
-        return {
-            "a_range": [str(self.a_range[0]), str(self.a_range[1])],
-            "b_range": [str(self.b_range[0]), str(self.b_range[1])],
-            "p_range": [str(self.p_range[0]), str(self.p_range[1])],
-            "q_range": [str(self.q_range[0]), str(self.q_range[1])],
-            "n_horizon": str(self.n_horizon),
-            "c4": str(self.c4),
-            "c5": str(self.c5),
-            "checks": list(self.checks),
-            "zero_k_max": str(self.zero_k_max),
-            "uniqueness_horizon": str(self.uniqueness_horizon),
-            "oracle_floor": str(self.oracle_floor),
-        }
+        """The settings the report's content depends on, as strings."""
+        values = {f.name: getattr(self, f.name) for f in fields(self)
+                  if f.name not in _RUN_ONLY}
+        return {k: [str(x) for x in v] if isinstance(v, tuple) else str(v)
+                for k, v in values.items()}
+
+
+# Settings that steer how and where a sweep runs but not what it finds; the
+# report's meta leaves them out, so its bytes do not depend on them.
+_RUN_ONLY = ("parallelism", "output_path", "format")
+
+# How a JSON value becomes each field's value, keyed by the field's
+# annotation; a field whose annotation is missing here fails at import.
+_FROM_JSON = {
+    "tuple[int, int]": lambda v: (int(v[0]), int(v[1])),
+    "int": int,
+    "Fraction": lambda v: Fraction(str(v)),
+    "str": str,
+    "str | None": lambda v: None if v is None else str(v),
+    "tuple[str, ...]": tuple,
+}
+_PARSE = {f.name: _FROM_JSON[f.type] for f in fields(SweepConfig)}
 
 
 def config_from_dict(data: dict) -> SweepConfig:
-    def pair(key):
-        v = data[key]
-        return int(v[0]), int(v[1])
-
+    """A validated SweepConfig from JSON values keyed by field name.  Absent
+    keys take the dataclass defaults; unknown keys are ignored."""
+    missing = [f.name for f in fields(SweepConfig)
+               if f.default is MISSING and f.name not in data]
+    if missing:
+        raise SweepConfigError(f"missing {', '.join(missing)}")
     try:
-        cfg = SweepConfig(
-            a_range=pair("a_range"), b_range=pair("b_range"),
-            p_range=pair("p_range"), q_range=pair("q_range"),
-            n_horizon=int(data.get("n_horizon", 200)),
-            c4=int(data.get("c4", DEFAULT_C4)),
-            c5=Fraction(str(data.get("c5", 50))),
-            parallelism=int(data.get("parallelism", 1)),
-            output_path=data.get("output_path"),
-            format=data.get("format", "json"),
-            checks=tuple(data.get("checks", ALL_CHECKS)),
-            zero_k_max=int(data.get("zero_k_max", 25)),
-            uniqueness_horizon=int(data.get("uniqueness_horizon", 5000)),
-            oracle_floor=int(data.get("oracle_floor", 2000)),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
+        cfg = SweepConfig(**{k: parse(data[k]) for k, parse in _PARSE.items()
+                             if k in data})
+    except (LookupError, TypeError, ValueError) as exc:
         raise SweepConfigError(f"bad sweep config: {exc}") from exc
     cfg.validate()
     return cfg
@@ -196,13 +198,19 @@ def zero_result_dict(result) -> dict:
     raise TypeError(f"unknown zero result {result!r}")
 
 
+def _finding(grade: str, check: str, a: int, b: int, **where) -> dict:
+    """One discrepancy: where a check failed, every value a string."""
+    return {"grade": grade, "check": check, "a": str(a), "b": str(b),
+            **{k: str(v) for k, v in where.items()}}
+
+
 def _process_pair(job) -> dict:
     """All records and findings for one (A, B) pair (runs in a worker).
 
     An exception inside the checkers becomes one assertion-grade
-    internal-error discrepancy and one violation for the pair, which then
-    contributes no records; its traceback goes to stderr.  One crashing
-    pair does not lose the sweep.
+    internal-error discrepancy for the pair, which then contributes no
+    records; its traceback goes to stderr.  One crashing pair does not lose
+    the sweep.
     """
     try:
         return _check_pair(job)
@@ -211,189 +219,181 @@ def _process_pair(job) -> dict:
         a, b, _ = job
         sys.stderr.write(f"internal error in pair ({a}, {b}):\n"
                          f"{traceback.format_exc()}")
-        return {"records": [], "family": [], "violations": 1,
-                "discrepancies": [{
-                    "grade": "assertion", "check": "internal-error",
-                    "a": str(a), "b": str(b),
-                    "error": f"{type(exc).__name__}: {exc}"}]}
+        return {"records": [], "family": [], "discrepancies": [_finding(
+            "assertion", "internal-error", a, b,
+            error=f"{type(exc).__name__}: {exc}")]}
 
 
 def _check_pair(job) -> dict:
+    """Runs the configured checks over one (A, B) pair.  Each _check_*
+    function returns its record fragment, appends to the point's `flags`,
+    and appends its discrepancies to `found`, in report order."""
     a, b, cfg = job
-    records = []
-    discrepancies = []
-    violations = 0
+    found: list[dict] = []
     pair_cls = classify(SequenceParams(a, b, 0, 1))
-    pair_real = pair_cls.kind is Kind.REAL
-    pair_nonreal = pair_cls.kind is Kind.NONREAL
-
     lucas_ok = None
-    if "lucas" in cfg.checks and pair_real and a != 0:
-        first_bad = kernels.lucas_growth_scan(abs(a), b, 2, cfg.n_horizon)
-        lucas_ok = first_bad == -1
-        if not lucas_ok:
-            violations += 1
-            discrepancies.append({
-                "grade": "assertion", "check": "lucas-growth",
-                "a": str(a), "b": str(b), "n": str(first_bad)})
+    if "lucas" in cfg.checks and pair_cls.kind is Kind.REAL and a != 0:
+        lucas_ok = _check_lucas(a, b, cfg, found)
 
+    records = []
     for p in range(cfg.p_range[0], cfg.p_range[1] + 1):
         for q in range(cfg.q_range[0], cfg.q_range[1] + 1):
             params = SequenceParams(a, b, p, q)
             cls = classify(params)
             rec = {"params": {"a": str(a), "b": str(b), "p": str(p), "q": str(q)},
                    "class": cls.label()}
-            flags = []
-
+            flags: list[str] = []
             if "zeros" in cfg.checks:
-                result = find_zero(params, cfg.c4)
-                horizon = cfg.oracle_floor
-                if isinstance(result, NoZero):
-                    horizon = max(horizon, result.searched_up_to)
-                oracle = brute_force_zero_oracle(params, horizon)
-                agree = oracle == _expected_zero_set(result, horizon)
-                zd = zero_result_dict(result)
-                zd["oracle_agree"] = agree
-                rec["zero"] = zd
-                if not agree:
-                    # a zero strictly beyond a conditional (c4-assuming) search
-                    # bound falsifies the assumption, not the procedure
-                    conditional = (isinstance(result, NoZero)
-                                   and result.assumes_c4 is not None
-                                   and all(k > result.searched_up_to for k in oracle))
-                    grade = "informational" if conditional else "assertion"
-                    if not conditional:
-                        violations += 1
-                    flags.append("zero-oracle-mismatch")
-                    discrepancies.append({
-                        "grade": grade, "check": "zero-oracle",
-                        "a": str(a), "b": str(b), "p": str(p), "q": str(q)})
-
-            growth: dict = {}
+                rec["zero"] = _check_zeros(params, cfg, flags, found)
+            growth = {}
             if "growth" in cfg.checks and not cls.is_degenerate:
-                if cls.kind is Kind.REAL and p != 0 and q != 0:
-                    branch = real_case_branch(params)
-                    growth["branch"] = branch.kind.value
-                    growth["case"] = branch.case.value
-                    growth["n_min"] = str(branch.n_min)
-                    start = max(branch.n_min, 2)
-                    if start <= cfg.n_horizon:
-                        # A < 0 flips to (-A, B, P, -Q); |u_n| is unchanged
-                        bad = kernels.real_growth_scan(
-                            abs(a), b, p, -q if a < 0 else q, start,
-                            cfg.n_horizon, branch.kind is BranchKind.FAR)
-                        growth["first_violation"] = None if bad == -1 else str(bad)
-                        if bad != -1:
-                            violations += 1
-                            flags.append("real-growth-violation")
-                            discrepancies.append({
-                                "grade": "assertion", "check": "real-growth",
-                                "a": str(a), "b": str(b), "p": str(p),
-                                "q": str(q), "n": str(bad)})
-                    else:
-                        growth["first_violation"] = None
-                        flags.append("growth-threshold-beyond-horizon")
-                elif cls.kind is Kind.NONREAL:
-                    emp = empirical_nonreal_threshold(params, cfg.n_horizon)
-                    growth["empirical_threshold"] = str(emp)
-                    growth["formula_threshold"] = str(
-                        nonreal_threshold_formula(params, cfg.c5))
-                    if emp > cfg.n_horizon:
-                        violations += 1
-                        flags.append("nonreal-growth-unstable")
-                        discrepancies.append({
-                            "grade": "assertion", "check": "nonreal-growth",
-                            "a": str(a), "b": str(b), "p": str(p), "q": str(q),
-                            "n": str(cfg.n_horizon)})
+                growth = _check_growth(params, cls, cfg, flags, found)
             if "lucas" in cfg.checks:
                 growth["lucas_ok"] = lucas_ok
             rec["growth"] = growth
-
             if "height" in cfg.checks:
-                height: dict = {}
-                if not cls.is_degenerate:
-                    try:
-                        rh = ratio_height(params)
-                        height["h"] = str(rh.height)
-                        recip = rh.linear or rh.coeffs[0] == rh.coeffs[2]
-                        height["reciprocal_ok"] = recip
-                        if not recip:
-                            violations += 1
-                            flags.append("height-reciprocity")
-                        if cls.kind is Kind.REAL:
-                            sandwich = height_sandwich_check(params)
-                            height["sandwich_ok"] = sandwich
-                            if not sandwich:
-                                violations += 1
-                                flags.append("height-sandwich")
-                    except DegenerateInputError:
-                        pass
-                    except HeightBoundError:
-                        violations += 1
-                        flags.append("height-bound")
-                rec["height"] = height
-
+                rec["height"] = ({} if cls.is_degenerate
+                                 else _check_height(params, cls, flags, found))
             rec["flags"] = flags
             records.append(rec)
 
     family = []
     if "zero-family" in cfg.checks and not pair_cls.is_degenerate and a != 0 and b != 0:
-        for k in range(2, cfg.zero_k_max + 1):
-            try:
-                cp, cq = construct_zero_at(a, b, k)
-            except ConstructionError:
-                continue
-            cparams = SequenceParams(a, b, cp, cq)
-            frec = {"a": str(a), "b": str(b), "k": str(k),
-                    "p": str(cp), "q": str(cq)}
-            result = find_zero(cparams, cfg.c4)
-            found_ok = isinstance(result, ZeroAt) and result.k == k
-            frec["found_ok"] = found_ok
-            oracle = brute_force_zero_oracle(cparams, cfg.uniqueness_horizon)
-            unique_ok = oracle == [k]
-            frec["unique_ok"] = unique_ok
-            normalized, _, _ = normalized_for_bound(cparams)
-            qn = max(abs(normalized.Q), 1)
-            frec["q_normalized"] = str(qn)
-            if pair_real:
-                bound_ok = below_log_affine(k, 9, qn, 12)
-                frec["bound_ok"] = bound_ok
-                if not bound_ok:
-                    violations += 1
-                    discrepancies.append({
-                        "grade": "assertion", "check": "zero-bound-real",
-                        "a": str(a), "b": str(b), "k": str(k)})
-            elif pair_nonreal:
-                bound_ok = below_log_affine(k, 10, max(qn, 2), 0)
-                frec["bound_ok"] = bound_ok
-                if not bound_ok:
-                    if k >= 50:
-                        violations += 1
-                        grade = "assertion"
-                    else:
-                        grade = "informational"
-                    discrepancies.append({
-                        "grade": grade, "check": "zero-bound-nonreal",
-                        "a": str(a), "b": str(b), "k": str(k)})
-            if not (found_ok and unique_ok):
-                violations += 1
-                discrepancies.append({
-                    "grade": "assertion", "check": "zero-family",
-                    "a": str(a), "b": str(b), "k": str(k)})
-            family.append(frec)
+        family = _check_zero_family(a, b, pair_cls, cfg, found)
+    return {"records": records, "family": family, "discrepancies": found}
 
-    return {"records": records, "family": family,
-            "discrepancies": discrepancies, "violations": violations}
+
+def _check_lucas(a: int, b: int, cfg: SweepConfig, found: list) -> bool:
+    """The first-kind Lucas floor for a real (A, B) pair up to the horizon."""
+    first_bad = kernels.lucas_growth_scan(abs(a), b, 2, cfg.n_horizon)
+    if first_bad != -1:
+        found.append(_finding("assertion", "lucas-growth", a, b, n=first_bad))
+    return first_bad == -1
+
+
+def _check_zeros(params, cfg: SweepConfig, flags: list, found: list) -> dict:
+    """find_zero's verdict against the brute-force oracle."""
+    result = find_zero(params, cfg.c4)
+    horizon = cfg.oracle_floor
+    if isinstance(result, NoZero):
+        horizon = max(horizon, result.searched_up_to)
+    oracle = brute_force_zero_oracle(params, horizon)
+    agree = oracle == _expected_zero_set(result, horizon)
+    zd = zero_result_dict(result)
+    zd["oracle_agree"] = agree
+    if not agree:
+        # a zero strictly beyond a conditional (c4-assuming) search bound
+        # falsifies the assumption, not the procedure
+        conditional = (isinstance(result, NoZero)
+                       and result.assumes_c4 is not None
+                       and all(k > result.searched_up_to for k in oracle))
+        flags.append("zero-oracle-mismatch")
+        found.append(_finding("informational" if conditional else "assertion",
+                              "zero-oracle", params.A, params.B,
+                              p=params.P, q=params.Q))
+    return zd
+
+
+def _check_growth(params, cls, cfg: SweepConfig, flags: list, found: list) -> dict:
+    """The real growth floor (by branch) or the non-real threshold scan."""
+    a, b, p, q = params.A, params.B, params.P, params.Q
+    growth: dict = {}
+    if cls.kind is Kind.REAL and p != 0 and q != 0:
+        branch = real_case_branch(params)
+        growth["branch"] = branch.kind.value
+        growth["case"] = branch.case.value
+        growth["n_min"] = str(branch.n_min)
+        start = max(branch.n_min, 2)
+        growth["first_violation"] = None
+        if start > cfg.n_horizon:
+            flags.append("growth-threshold-beyond-horizon")
+            return growth
+        # A < 0 flips to (-A, B, P, -Q); |u_n| is unchanged
+        bad = kernels.real_growth_scan(abs(a), b, p, -q if a < 0 else q, start,
+                                       cfg.n_horizon, branch.kind is BranchKind.FAR)
+        if bad != -1:
+            growth["first_violation"] = str(bad)
+            flags.append("real-growth-violation")
+            found.append(_finding("assertion", "real-growth", a, b, p=p, q=q, n=bad))
+    elif cls.kind is Kind.NONREAL:
+        emp = empirical_nonreal_threshold(params, cfg.n_horizon)
+        growth["empirical_threshold"] = str(emp)
+        growth["formula_threshold"] = str(nonreal_threshold_formula(params, cfg.c5))
+        if emp > cfg.n_horizon:
+            flags.append("nonreal-growth-unstable")
+            found.append(_finding("assertion", "nonreal-growth", a, b, p=p, q=q,
+                                  n=cfg.n_horizon))
+    return growth
+
+
+def _check_height(params, cls, flags: list, found: list) -> dict:
+    """Ratio height, its reciprocity and (real case) the sandwich."""
+    height: dict = {}
+    failed = []
+    try:
+        rh = ratio_height(params)
+        height["h"] = str(rh.height)
+        height["reciprocal_ok"] = rh.linear or rh.coeffs[0] == rh.coeffs[2]
+        if not height["reciprocal_ok"]:
+            failed.append("height-reciprocity")
+        if cls.kind is Kind.REAL:
+            height["sandwich_ok"] = height_sandwich_check(params)
+            if not height["sandwich_ok"]:
+                failed.append("height-sandwich")
+    except DegenerateInputError:
+        pass
+    except HeightBoundError:
+        failed.append("height-bound")
+    for check in failed:
+        flags.append(check)
+        found.append(_finding("assertion", check, params.A, params.B,
+                              p=params.P, q=params.Q))
+    return height
+
+
+def _check_zero_family(a: int, b: int, pair_cls, cfg: SweepConfig,
+                       found: list) -> list[dict]:
+    """Zero-at-k instances for k = 2..zero_k_max: found index, uniqueness up
+    to uniqueness_horizon, and the logarithmic index bound."""
+    family = []
+    for k in range(2, cfg.zero_k_max + 1):
+        try:
+            cp, cq = construct_zero_at(a, b, k)
+        except ConstructionError:
+            continue
+        cparams = SequenceParams(a, b, cp, cq)
+        frec = {"a": str(a), "b": str(b), "k": str(k), "p": str(cp), "q": str(cq)}
+        result = find_zero(cparams, cfg.c4)
+        frec["found_ok"] = isinstance(result, ZeroAt) and result.k == k
+        frec["unique_ok"] = brute_force_zero_oracle(cparams, cfg.uniqueness_horizon) == [k]
+        normalized, _, _ = normalized_for_bound(cparams)
+        qn = max(abs(normalized.Q), 1)
+        frec["q_normalized"] = str(qn)
+        if pair_cls.kind is Kind.REAL:
+            frec["bound_ok"] = below_log_affine(k, 9, qn, 12)
+            if not frec["bound_ok"]:
+                found.append(_finding("assertion", "zero-bound-real", a, b, k=k))
+        elif pair_cls.kind is Kind.NONREAL:
+            frec["bound_ok"] = below_log_affine(k, 10, max(qn, 2), 0)
+            if not frec["bound_ok"]:
+                found.append(_finding("assertion" if k >= 50 else "informational",
+                                      "zero-bound-nonreal", a, b, k=k))
+        if not (frec["found_ok"] and frec["unique_ok"]):
+            found.append(_finding("assertion", "zero-family", a, b, k=k))
+        family.append(frec)
+    return family
 
 
 def run_sweep(config: SweepConfig) -> tuple[dict, int]:
-    """Execute the sweep; returns (report, assertion_violation_count)."""
+    """Execute the sweep; returns (report, number of assertion-grade
+    discrepancies)."""
     config.validate()
     jobs = [(a, b, config)
             for a in range(config.a_range[0], config.a_range[1] + 1)
             for b in range(config.b_range[0], config.b_range[1] + 1)]
-    if config.parallelism > 1 and len(jobs) > 1:
-        with multiprocessing.Pool(config.parallelism) as pool:
+    workers = min(config.parallelism, len(jobs))
+    if workers > 1:
+        with multiprocessing.Pool(workers) as pool:
             results = pool.map(_process_pair, jobs, chunksize=8)
     else:
         results = [_process_pair(j) for j in jobs]
@@ -401,13 +401,13 @@ def run_sweep(config: SweepConfig) -> tuple[dict, int]:
     records = [r for res in results for r in res["records"]]
     family = [f for res in results for f in res["family"]]
     discrepancies = [d for res in results for d in res["discrepancies"]]
-    violations = sum(res["violations"] for res in results)
+    violations = sum(1 for d in discrepancies if d["grade"] == "assertion")
+    informational = sum(1 for d in discrepancies if d["grade"] == "informational")
 
     kinds = {"real": 0, "non-real": 0, "degenerate": 0}
     for rec in records:
         label = rec["class"]
         kinds["degenerate" if label.startswith("degenerate") else label] += 1
-    informational = sum(1 for d in discrepancies if d["grade"] == "informational")
 
     report = {
         "meta": {"version": __version__, "config": config.meta()},
@@ -468,23 +468,6 @@ def render_csv(report: dict) -> str:
     writer.writerow(CSV_HEADER)
     for rec in report["records"]:
         writer.writerow(_csv_row(rec))
-    return buf.getvalue()
-
-
-def parse_csv(text: str) -> list[dict]:
-    reader = csv.reader(io.StringIO(text))
-    rows = list(reader)
-    if not rows or rows[0] != CSV_HEADER:
-        raise ValueError("unrecognized report header")
-    return [dict(zip(CSV_HEADER, row)) for row in rows[1:]]
-
-
-def reserialize_csv(rows: list[dict]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CSV_HEADER)
-    for row in rows:
-        writer.writerow([row[k] for k in CSV_HEADER])
     return buf.getvalue()
 
 

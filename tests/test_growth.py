@@ -232,6 +232,8 @@ cfg = sw.SweepConfig(a_range=(1, 1), b_range=(-1, -1), p_range=(1, 1),
                      q_range=(1, 1), checks=("height",))
 report, violations = sw.run_sweep(cfg)
 print(violations, ",".join(report["records"][0]["flags"]))
+print(",".join(f"{d['grade']}:{d['check']}:{d['p']}:{d['q']}"
+               for d in report["discrepancies"]))
 """
 
 
@@ -241,7 +243,8 @@ def test_height_bound_survives_optimized_mode():
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     out = subprocess.run([sys.executable, "-O", "-c", _HEIGHT_BOUND_UNDER_O],
                          env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.split("\n")[:2] == ["raised", "1 height-bound"]
+    assert out.stdout.split("\n")[:3] == ["raised", "1 height-bound",
+                                          "assertion:height-bound:1:1"]
 
 
 def test_ratio_height_rational_cases():

@@ -1,10 +1,13 @@
+import csv
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -12,14 +15,29 @@ from brigkit import SequenceParams, classify, kernels
 from brigkit import sweep as sweep_mod
 from brigkit.cli import main
 from brigkit.core import Reason
-from brigkit.sweep import (SweepConfig, SweepConfigError, brute_force_zero_oracle,
-                           config_from_dict, parse_csv, render_csv, render_json,
-                           reserialize_csv, run_sweep)
+from brigkit.sweep import (CSV_HEADER, SweepConfig, SweepConfigError,
+                           brute_force_zero_oracle, config_from_dict, render_csv,
+                           render_json, run_sweep)
 from conftest import iter_terms
 
 SMALL = dict(a_range=(-3, 3), b_range=(-3, 3), p_range=(-2, 2), q_range=(-2, 2),
              n_horizon=60, c4=120, zero_k_max=8, uniqueness_horizon=400,
              oracle_floor=200)
+
+
+def assertion_count(report) -> int:
+    """The summary's violation count, checked against the discrepancies it
+    counts."""
+    count = sum(1 for d in report["discrepancies"] if d["grade"] == "assertion")
+    assert report["summary"]["violations"] == str(count)
+    return count
+
+
+def assert_csv_table(text):
+    rows = list(csv.reader(io.StringIO(text)))
+    assert rows[0] == CSV_HEADER
+    assert all(len(row) == len(CSV_HEADER) for row in rows[1:])
+    return rows[1:]
 
 
 @pytest.fixture(scope="module")
@@ -63,7 +81,7 @@ def test_config_validation():
     with pytest.raises(SweepConfigError):
         SweepConfig(a_range=(1, 1), b_range=(1, 1), p_range=(1, 1),
                     q_range=(1, 1), n_horizon=1).validate()
-    with pytest.raises(SweepConfigError):
+    with pytest.raises(SweepConfigError, match="missing b_range, p_range, q_range"):
         config_from_dict({"a_range": [1, 2]})
     cfg = config_from_dict({"a_range": [1, 2], "b_range": [1, 2],
                             "p_range": [0, 1], "q_range": [0, 1],
@@ -73,7 +91,7 @@ def test_config_validation():
 
 def test_small_sweep_clean(small_report):
     report, violations = small_report
-    assert violations == 0
+    assert violations == 0 == assertion_count(report)
     assert report["summary"]["records"] == str(7 * 7 * 5 * 5)
     total = (int(report["summary"]["real"]) + int(report["summary"]["non_real"])
              + int(report["summary"]["degenerate"]))
@@ -95,8 +113,8 @@ def test_json_round_trip(small_report):
 
 def test_csv_round_trip(small_report):
     report, _ = small_report
-    text = render_csv(report)
-    assert reserialize_csv(parse_csv(text)) == text
+    rows = assert_csv_table(render_csv(report))
+    assert len(rows) == len(report["records"])
 
 
 def test_all_ints_are_strings(small_report):
@@ -187,6 +205,21 @@ def test_cli_growth(capsys):
     assert data["bound_holds"] is True
 
 
+def test_cli_growth_lucas_default_constant(capsys):
+    """Without --c1 the non-real Lucas check uses the default constant."""
+    base = ["growth", "--a", "1", "--b", "2", "--p", "0", "--q", "1",
+            "--n", "10", "--check", "lucas", "--json"]
+    assert main(base) == 0
+    default = capsys.readouterr().out
+    assert main(base + ["--c1", "100"]) == 0
+    assert capsys.readouterr().out == default
+    assert json.loads(default)["regime"] == "lucas-nonreal"
+    # equal roots: degenerate, a usage error with or without a constant
+    assert main(["growth", "--a", "2", "--b", "1", "--p", "0", "--q", "1",
+                 "--n", "10", "--check", "lucas"]) == 1
+    assert "degenerate" in capsys.readouterr().err
+
+
 def test_cli_degenerate_growth_errors(capsys):
     assert main(["growth", "--a", "3", "--b", "2", "--p", "1", "--q", "1",
                  "--n", "30", "--check", "real"]) == 1
@@ -212,8 +245,22 @@ def test_cli_sweep_roundtrip(tmp_path, capsys):
         "format": "csv", "output_path": str(tmp_path / "report.csv")}))
     assert main(["sweep", "--config", str(cfgfile)]) == 0
     capsys.readouterr()
-    text = (tmp_path / "report.csv").read_text()
-    assert reserialize_csv(parse_csv(text)) == text
+    rows = assert_csv_table((tmp_path / "report.csv").read_text())
+    assert len(rows) == 5 * 5 * 3 * 3
+
+
+def test_cli_sweep_flags_override_the_config_file(tmp_path, capsys):
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps({
+        "a_range": [1, 2], "b_range": [-1, 1], "p_range": [-1, 1],
+        "q_range": [-1, 1], "n_horizon": 40, "checks": ["growth"],
+        "format": "json", "output_path": str(tmp_path / "unused.json")}))
+    out = tmp_path / "report.csv"
+    assert main(["sweep", "--config", str(cfgfile), "--format", "csv",
+                 "--out", str(out), "--horizon", "30"]) == 0
+    capsys.readouterr()
+    assert len(assert_csv_table(out.read_text())) == 2 * 3 * 3 * 3
+    assert not (tmp_path / "unused.json").exists()
 
 
 def test_cli_sweep_bad_config(tmp_path, capsys):
@@ -265,6 +312,47 @@ def test_sweep_exit_3_on_assertion_violation(tmp_path, monkeypatch, capsys):
     assert report["summary"]["violations"] != "0"
     assert any(d["grade"] == "assertion" and d["check"] == "real-growth"
                for d in report["discrepancies"])
+
+
+def test_failed_height_sandwich_is_an_assertion_finding(tmp_path, monkeypatch,
+                                                        capsys):
+    monkeypatch.setattr(sweep_mod, "height_sandwich_check", lambda params: False)
+    out = tmp_path / "r.json"
+    rc = main(["sweep", "--a-range=1:1", "--b-range=-1:-1", "--p-range=1:1",
+               "--q-range=1:1", "--checks", "height", "--out", str(out)])
+    capsys.readouterr()
+    assert rc == 3
+    report = json.loads(out.read_text())
+    assert report["discrepancies"] == [{
+        "grade": "assertion", "check": "height-sandwich",
+        "a": "1", "b": "-1", "p": "1", "q": "1"}]
+    assert assertion_count(report) == 1
+    assert report["records"][0]["flags"] == ["height-sandwich"]
+
+
+def test_pool_has_at_most_one_worker_per_pair(monkeypatch):
+    sizes = []
+
+    class InProcessPool:
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs, chunksize=1):
+            return [fn(job) for job in jobs]
+
+    monkeypatch.setattr(sweep_mod, "multiprocessing",
+                        SimpleNamespace(Pool=InProcessPool))
+    box = dict(a_range=(1, 1), b_range=(-1, 0), p_range=(-1, 1),
+               q_range=(-1, 1), n_horizon=40, checks=("growth", "height"))
+    report, _ = run_sweep(SweepConfig(**box, parallelism=8))
+    assert sizes == [2]
+    assert render_json(report) == render_json(run_sweep(SweepConfig(**box))[0])
 
 
 def test_conditional_zero_misses_grade_informational():
@@ -342,7 +430,7 @@ def test_zeros_sweep_report_bytes_are_pinned(jobs):
                       q_range=(-3, 3), n_horizon=200,
                       checks=("zeros", "zero-family"), parallelism=jobs)
     report, violations = run_sweep(cfg)
-    assert violations == 0
+    assert violations == 0 == assertion_count(report)
     digest = hashlib.sha256(render_json(report).encode()).hexdigest()
     assert digest == ZEROS_SWEEP_SHA256
 
@@ -359,7 +447,7 @@ def test_growth_sweep_report_bytes_are_pinned():
                       q_range=(-8, 8), n_horizon=200,
                       checks=("growth", "lucas", "height"), parallelism=2)
     report, violations = run_sweep(cfg)
-    assert violations == 0
+    assert violations == 0 == assertion_count(report)
     digest = hashlib.sha256(render_json(report).encode()).hexdigest()
     assert digest == GROWTH_SWEEP_SHA256
 
