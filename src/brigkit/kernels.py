@@ -7,11 +7,19 @@ denominators cleared, is positive; so no rationals and no floating point
 appear in any loop.  The zero scan first runs the recurrence on residues
 modulo a prime: a nonzero residue proves u_n != 0, so the screen only rules
 indices out, and the exact recurrence decides every index it leaves.  The
-kernels call lucas_u_pair through this module's globals, so a wrapper set on
-brigkit.kernels.lucas_u_pair sees every call.
+real and Lucas growth scans first compare bit lengths: alpha^m and phi^m
+depend only on (A, B) and m, so a cached per-pair table holds
+e_m = bit_length(floor(alpha^m)), and 2^(e_m - 1) <= alpha^m < 2^e_m makes
+a longer k*|u_n| prove a bound k*|u_n| >= alpha^m and a shorter one refute
+it.  Only equal lengths go to surd_sign, on a Lucas pair built for that
+index.  The kernels call lucas_u_pair through this module's globals, so a
+wrapper set on brigkit.kernels.lucas_u_pair sees every call.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
+from math import isqrt
 
 from .intutil import surd_sign
 
@@ -109,6 +117,32 @@ def zero_scan(A: int, B: int, P: int, Q: int, lo: int, hi: int) -> list[int]:
     return hits
 
 
+@lru_cache(maxsize=8)
+def _power_bits(A: int, B: int, hi: int) -> tuple[int, ...]:
+    """e_m = bit_length(floor(alpha^m)) for m = 0..hi, where
+    alpha = (A + sqrt(delta))/2, A > 0 and delta = A^2 - 4B > 0.
+
+    floor(alpha^m) = (V_m + isqrt(U_m^2*delta)) >> 1 exactly, since U_m >= 0
+    and floor(x/2) = floor(floor(x)/2).  Only the bit lengths are kept, so a
+    table costs O(hi) words; the Fibonacci table is the one for (1, -1).
+    """
+    delta = A * A - 4 * B
+    bits = []
+    u, u1 = 0, 1
+    for _ in range(hi + 1):
+        bits.append(((2 * u1 - A * u + isqrt(u * u * delta)) >> 1).bit_length())
+        u, u1 = u1, A * u1 - B * u
+    return tuple(bits)
+
+
+def _power_exceeds(A: int, B: int, m: int, x: int, w: int = 1) -> bool:
+    """Exactly whether w*alpha^m > x, for the alpha of _power_bits: the
+    sign of w*V_m - 2x + w*U_m*sqrt(delta).  The scans call it only where
+    the bit lengths leave the comparison open."""
+    u, v = lucas_uv(A, B, m)
+    return surd_sign(w * v - 2 * x, w * u, A * A - 4 * B) > 0
+
+
 def real_growth_scan(A: int, B: int, P: int, Q: int,
                      lo: int, hi: int, far: bool) -> int:
     """First n in [lo, hi] violating the applicable real-case lower bounds,
@@ -118,52 +152,56 @@ def real_growth_scan(A: int, B: int, P: int, Q: int,
     the two checks are |u_n| >= |Q|*(alpha/2)^(n-2) and |u_n| >= |Q|*(sqrt5/2)^n;
     for the near branch |u_n| >= alpha^(n-2)/max(5|P|, 22|Q|) and
     |u_n| >= phi^n/max(14|P|, 36|Q|).
+
+    Only u_n is rolled.  A bound k*|u_n| >= alpha^m is screened against
+    e = e_m from _power_bits: 2^(e-1) <= floor(alpha^m) <= alpha^m < 2^e, so
+    bit_length(k*|u_n|) > e proves it and < e refutes it.  On the far branch
+    |Q|*alpha^(n-2) is only known to lie in [2^(e+b-2), 2^(e+b)), b the bit
+    length of Q, so |u_n|*2^(n-2) is undecided at two lengths.  Every
+    undecided comparison goes to _power_exceeds, the exact surd_sign test.
     """
     if lo < 2:
         raise ValueError("scan start must be >= 2")
     if hi < lo:
         return -1
-    delta = A * A - 4 * B
     absq = abs(Q)
-    q2 = Q * Q
+    ea = _power_bits(A, B, hi)
 
-    # roll state up to n = lo
     prev, cur = P, Q
     for _ in range(lo - 1):
         prev, cur = cur, A * cur - B * prev
-    # cur = u_{lo}; keep (ua, ub) = (U_{n-2}, U_{n-1}) for (A, B)
-    ua, ub = lucas_u_pair(A, B, lo - 2)
-    pw2 = 1 << lo          # 2^n
-    pw5 = 5 ** lo          # 5^n
     if far:
+        q2 = Q * Q
+        bq = absq.bit_length()
+        pw2 = 1 << lo          # 2^n
+        pw5 = 5 ** lo          # 5^n
         for n in range(lo, hi + 1):
             absu = -cur if cur < 0 else cur
-            v = 2 * ub - A * ua  # V_{n-2}
-            # 2|Q|*alpha^(n-2) = |Q|*(V + U*sqrt(delta)) against 2^(n-1)*|u_n|
-            if surd_sign(absq * v - (pw2 >> 1) * absu, absq * ua, delta) > 0:
+            x = absu << (n - 2)             # |u_n|*2^(n-2) >= |Q|*alpha^(n-2)
+            gap = x.bit_length() - ea[n - 2] - bq
+            if gap < -1 or (gap <= 0 and _power_exceeds(A, B, n - 2, x, absq)):
                 return n
             if absu * absu * pw2 * pw2 < q2 * pw5:
                 return n
             prev, cur = cur, A * cur - B * prev
-            ua, ub = ub, A * ub - B * ua
             pw2 <<= 1
             pw5 *= 5
         return -1
 
     k1 = max(5 * abs(P), 22 * absq)
     k2 = max(14 * abs(P), 36 * absq)
-    fa, fb = lucas_u_pair(1, -1, lo)  # (F_n, F_{n+1})
+    ef = _power_bits(1, -1, hi)
     for n in range(lo, hi + 1):
         absu = -cur if cur < 0 else cur
-        v = 2 * ub - A * ua
-        if surd_sign(v - 2 * k1 * absu, ua, delta) > 0:
+        x = k1 * absu                       # k1*|u_n| >= alpha^(n-2)
+        bits, e = x.bit_length(), ea[n - 2]
+        if bits < e or (bits == e and _power_exceeds(A, B, n - 2, x)):
             return n
-        ln = 2 * fb - fa  # L_n
-        if surd_sign(ln - 2 * k2 * absu, fa, 5) > 0:  # phi^n = (L_n + F_n*sqrt5)/2
+        x = k2 * absu                       # k2*|u_n| >= phi^n
+        bits, e = x.bit_length(), ef[n]
+        if bits < e or (bits == e and _power_exceeds(1, -1, n, x)):
             return n
         prev, cur = cur, A * cur - B * prev
-        ua, ub = ub, A * ub - B * ua
-        fa, fb = fb, fa + fb
     return -1
 
 
@@ -199,22 +237,23 @@ def lucas_growth_scan(A: int, B: int, lo: int, hi: int) -> int:
 
     Requires A > 0, A^2 > 4B, lo >= 2.  For B < 0 the bound is
     2|U_n| >= alpha^(n-2); for 0 < 4B < A^2 it is |U_n| >= alpha^(n-1).
+    Screened by bit lengths against _power_bits as in real_growth_scan;
+    equal lengths go to the exact _power_exceeds.
     """
     if lo < 2:
         raise ValueError("scan start must be >= 2")
     if hi < lo:
         return -1
-    delta = A * A - 4 * B
-    off = 2 if B < 0 else 1
-    ua, ub = lucas_u_pair(A, B, lo - off)   # (U_{n-off}, U_{n-off+1})
-    un, un1 = lucas_u_pair(A, B, lo)        # (U_n, U_{n+1})
-    mult = 4 if B < 0 else 2
+    off, shift = (2, 1) if B < 0 else (1, 0)
+    ea = _power_bits(A, B, hi)
+    un, un1 = 0, 1
+    for _ in range(lo):
+        un, un1 = un1, A * un1 - B * un
     for n in range(lo, hi + 1):
-        absu = -un if un < 0 else un
-        v = 2 * ub - A * ua
-        if surd_sign(v - mult * absu, ua, delta) > 0:
+        x = (-un if un < 0 else un) << shift
+        bits, e = x.bit_length(), ea[n - off]
+        if bits < e or (bits == e and _power_exceeds(A, B, n - off, x)):
             return n
-        ua, ub = ub, A * ub - B * ua
         un, un1 = un1, A * un1 - B * un
     return -1
 

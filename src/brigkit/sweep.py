@@ -120,7 +120,11 @@ _PARSE = {f.name: _FROM_JSON[f.type] for f in fields(SweepConfig)}
 
 def config_from_dict(data: dict) -> SweepConfig:
     """A validated SweepConfig from JSON values keyed by field name.  Absent
-    keys take the dataclass defaults; unknown keys are ignored."""
+    keys take the dataclass defaults; a key that names no field is an error,
+    so a misspelt setting cannot fall back to its default unnoticed."""
+    unknown = sorted(set(data) - set(_PARSE))
+    if unknown:
+        raise SweepConfigError(f"unknown config keys: {', '.join(unknown)}")
     missing = [f.name for f in fields(SweepConfig)
                if f.default is MISSING and f.name not in data]
     if missing:

@@ -13,7 +13,7 @@ from brigkit.core import Kind
 from brigkit.growth import (BranchKind, check_lucas_growth,
                             check_nonreal_growth, check_real_growth,
                             real_case_branch)
-from conftest import iter_lucas_u, iter_terms
+from conftest import iter_lucas_u, iter_lucas_v, iter_terms
 
 small = st.integers(-10, 10)
 coeff_a = st.integers(1, 60)
@@ -106,23 +106,33 @@ def test_zero_scan_with_small_screening_prime(monkeypatch, prime):
                     == _plain_zeros(a, b, p, q, lo, 40)), (prime, a, b, p, q, lo)
 
 
+# hi=None scans lo..lo+40; the examples with hi=200 run to the sweep's
+# horizon, where the terms are hundreds of bits long and the bit-length
+# screen decides nearly every comparison.
 @settings(max_examples=150, deadline=None)
-@given(coeff_a, coeff_b, initial, initial)
-@example(7, 12, 1, 1)
-@example(3, -100, 1, 1)
-@example(10, 1, 1, 1)
-@example(1, -1, 2, 3)
-@example(5, 2, 3, -4)
-def test_scan_agrees_with_per_index_checker_real(a, b, p, q):
+@given(coeff_a, coeff_b, initial, initial, st.none())
+@example(7, 12, 1, 1, None)
+@example(3, -100, 1, 1, None)
+@example(10, 1, 1, 1, None)
+@example(1, -1, 2, 3, None)
+@example(5, 2, 3, -4, None)
+@example(1, -1, 987, -610, 200)          # near branch, Q/P near beta
+@example(3, 2, 5, -7, 200)               # square delta: alpha = 2
+@example(7, 12, -8, 3, 200)              # square delta: alpha = 4
+@example(12, 3, 100, -1, 200)            # far branch, A - D < 1
+@example(60, 1, 999_999, -1, 200)        # far branch, alpha ~ 60
+def test_scan_agrees_with_per_index_checker_real(a, b, p, q, hi):
     """Dual route: integer scan kernel vs QuadElem margin checker."""
     params = SequenceParams(a, b, p, q)
     assume(classify(params).kind is Kind.REAL)
     br = real_case_branch(params)
     lo = max(br.n_min, 2)
     assume(lo <= REAL_START_CAP)
-    bad = kernels.real_growth_scan(a, b, p, q, lo, lo + 40,
+    hi = lo + 40 if hi is None else hi
+    assume(lo <= hi)
+    bad = kernels.real_growth_scan(a, b, p, q, lo, hi,
                                    br.kind is BranchKind.FAR)
-    per_index = [n for n in range(lo, lo + 41)
+    per_index = [n for n in range(lo, hi + 1)
                  if not check_real_growth(params, n).bound_holds]
     assert bad == (per_index[0] if per_index else -1)
 
@@ -142,15 +152,117 @@ def test_scan_agrees_with_per_index_checker_nonreal(a, b, p, q):
 
 
 @settings(max_examples=150, deadline=None)
-@given(coeff_a, coeff_b)
-@example(1, -1)
-@example(2, -1)
-@example(3, 2)
-@example(7, 5)
-@example(5, -6)
-def test_scan_agrees_with_per_index_checker_lucas(a, b):
+@given(coeff_a, coeff_b, st.just(120))
+@example(1, -1, 120)
+@example(2, -1, 120)
+@example(3, 2, 120)
+@example(7, 5, 120)
+@example(5, -6, 120)
+@example(3, 2, 200)      # alpha = 2: every step is a bit-length tie
+@example(7, 12, 200)     # alpha = 4
+@example(1, -1, 200)
+@example(60, -60, 200)
+@example(60, 899, 200)   # 0 < 4B < A^2, alpha - beta = 2
+def test_scan_agrees_with_per_index_checker_lucas(a, b, hi):
     assume(classify(SequenceParams(a, b, 0, 1)).kind is Kind.REAL)
-    bad = kernels.lucas_growth_scan(a, b, 2, 120)
-    per_index = [n for n in range(2, 121)
+    bad = kernels.lucas_growth_scan(a, b, 2, hi)
+    per_index = [n for n in range(2, hi + 1)
                  if not check_lucas_growth(a, b, n).bound_holds]
     assert bad == (per_index[0] if per_index else -1)
+
+
+def _first_violation(a, b, p, q, lo, hi, far):
+    """First n in [lo, hi] where a real-case bound of the scan fails, or -1,
+    at any lo >= 2 (check_real_growth only answers from the branch's n_min
+    on).  Each bound c*X >= w*alpha^m is decided as
+    2*c*X - w*V_m >= w*U_m*sqrt(delta) on exact squares; nothing is shared
+    with brigkit."""
+    delta = a * a - 4 * b
+    u = iter_terms(a, b, p, q, hi)
+    lu, lv = iter_lucas_u(a, b, hi), iter_lucas_v(a, b, hi)
+    fu, fv = iter_lucas_u(1, -1, hi), iter_lucas_v(1, -1, hi)
+
+    def ge(x, w, um, vm, d):
+        lhs = 2 * x - w * vm
+        return lhs >= 0 and lhs * lhs >= w * w * um * um * d
+
+    k1 = max(5 * abs(p), 22 * abs(q))
+    k2 = max(14 * abs(p), 36 * abs(q))
+    for n in range(lo, hi + 1):
+        x = abs(u[n])
+        if far:
+            holds = (ge(x * 2 ** (n - 2), abs(q), lu[n - 2], lv[n - 2], delta)
+                     and x * x * 4 ** n >= q * q * 5 ** n)
+        else:
+            holds = (ge(k1 * x, 1, lu[n - 2], lv[n - 2], delta)
+                     and ge(k2 * x, 1, fu[n], fv[n], 5))
+        if not holds:
+            return n
+    return -1
+
+
+# (A, B) with a square discriminant, so alpha is an integer.  For (3, 2) and
+# (7, 12) every alpha^m is a power of two and a bit-length tie always holds;
+# alpha = 3 for (1, -6) and (5, 6), where Q = beta*P leaves only the beta^n
+# term and ties go both ways; (1, 0) has alpha = 1 and u_n = Q from n = 1 on,
+# so the golden-ratio bound is the one that fails, at a tie.
+SQUARE_DELTA_PAIRS = [(3, 2), (7, 12), (1, -6), (5, 6), (1, 0)]
+
+
+def test_real_scan_fallback_is_reached_and_exact(monkeypatch):
+    """Scans from lo = 2 pass indices where the bounds are close, so equal
+    bit lengths reach the exact surd_sign fallback.  Its verdicts, both ways,
+    must give the first violation of the independent reference, and from the
+    branch threshold on, that of check_real_growth."""
+    verdicts = []
+
+    def counted(x, y, d):
+        sign = real_sign(x, y, d)
+        verdicts.append(sign)
+        return sign
+
+    real_sign = kernels.surd_sign
+    monkeypatch.setattr(kernels, "surd_sign", counted)
+    for a, b in SQUARE_DELTA_PAIRS:
+        for p in range(-6, 7):
+            for q in range(-6, 7):
+                if not p or not q:
+                    continue
+                for far in (False, True):
+                    for lo in (2, 3, 7):
+                        assert (kernels.real_growth_scan(a, b, p, q, lo, 60, far)
+                                == _first_violation(a, b, p, q, lo, 60, far)), \
+                            (a, b, p, q, lo, far)
+                params = SequenceParams(a, b, p, q)
+                if classify(params).kind is not Kind.REAL:
+                    continue
+                br = real_case_branch(params)
+                lo = max(br.n_min, 2)
+                per_index = [n for n in range(lo, 61)
+                             if not check_real_growth(params, n).bound_holds]
+                assert (kernels.real_growth_scan(a, b, p, q, lo, 60,
+                                                 br.kind is BranchKind.FAR)
+                        == (per_index[0] if per_index else -1)), (a, b, p, q)
+    assert verdicts.count(1) > 0 and verdicts.count(-1) > 0
+
+
+def test_power_bits_table_is_small_exact_and_cached():
+    """One small int per index (O(hi) memory, never the Lucas terms), each
+    the bit length of floor(alpha^m), behind a bounded cache."""
+    assert kernels._power_bits.cache_info().maxsize is not None
+    for a, b in [(1, -1), (3, 2), (60, -60), (60, 899)]:
+        table = kernels._power_bits(a, b, 2000)
+        assert len(table) == 2001
+        assert all(type(e) is int and 0 <= e < 2 ** 32 for e in table)
+        # 2^(e-1) <= alpha^m < 2^e, decided on exact squares
+        delta = a * a - 4 * b
+        lu, lv = iter_lucas_u(a, b, 300), iter_lucas_v(a, b, 300)
+        for m in range(301):
+            e = table[m]
+            # alpha^m >= 2^k  <=>  V_m - 2^(k+1) + U_m*sqrt(delta) >= 0
+            for k, at_least in ((e - 1, True), (e, False)):
+                x = lv[m] - 2 ** (k + 1)
+                ge = x >= 0 or x * x <= lu[m] ** 2 * delta
+                assert ge is at_least, (a, b, m)
+    assert kernels._power_bits(3, 2, 10) == tuple(range(1, 12))
+    assert kernels._power_bits(7, 12, 10) == tuple(range(1, 23, 2))

@@ -263,6 +263,34 @@ def test_cli_sweep_flags_override_the_config_file(tmp_path, capsys):
     assert not (tmp_path / "unused.json").exists()
 
 
+def test_cli_sweep_rejects_unknown_config_keys(tmp_path, capsys):
+    """A misspelt key is refused by name instead of running on the default:
+    "horizon" is the flag's name, the field is n_horizon."""
+    data = {"a_range": [1, 2], "b_range": [-1, 1], "p_range": [-1, 1],
+            "q_range": [-1, 1], "horizon": 40, "check": ["growth"]}
+    with pytest.raises(SweepConfigError, match="unknown config keys: check, horizon"):
+        config_from_dict(data)
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps(data))
+    out = tmp_path / "report.json"
+    assert main(["sweep", "--config", str(cfgfile), "--out", str(out)]) == 1
+    assert "horizon" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_sweep_accepts_a_reports_own_config(tmp_path, capsys):
+    """meta.config of a report, fed back as --config, reruns the same sweep."""
+    cfg = SweepConfig(a_range=(1, 2), b_range=(-1, 1), p_range=(-1, 1),
+                      q_range=(-1, 1), n_horizon=40, checks=("growth", "height"))
+    first = render_json(run_sweep(cfg)[0])
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps(json.loads(first)["meta"]["config"]))
+    out = tmp_path / "again.json"
+    assert main(["sweep", "--config", str(cfgfile), "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert out.read_text() == first
+
+
 def test_cli_sweep_bad_config(tmp_path, capsys):
     assert main(["sweep", "--a-range=5:1", "--b-range=1:1",
                  "--p-range=1:1", "--q-range=1:1"]) == 1
