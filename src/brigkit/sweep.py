@@ -15,6 +15,14 @@ pairs.  Informational discrepancies are small-k zero-bound excursions in the
 non-real case and zeros beyond a search bound that assumed a too-small c4.
 A growth threshold beyond the horizon is no discrepancy at all, only the
 record flag "growth-threshold-beyond-horizon".
+
+Every zero verdict is refereed by brute_force_zero_oracle, which shares no
+code and no modulus with the kernels.  It screens modulo its own prime with
+one residue table per (A, B) pair, shared by all the pair's (P, Q): for
+n >= 1, u_n = 0 (mod p) exactly when (P : Q) is the point
+(U_n : B*U_{n-1}) mod p, so the table files each index under that point.
+The screen only says where a zero may be; the exact recurrence, run up to
+the last such index, decides every hit.
 """
 
 from __future__ import annotations
@@ -25,8 +33,11 @@ import json
 import multiprocessing
 import os
 import sys
+from array import array
+from bisect import bisect_right
 from dataclasses import MISSING, dataclass, fields
 from fractions import Fraction
+from functools import lru_cache
 
 from . import __version__, kernels
 from .core import Kind, SequenceParams, classify
@@ -40,7 +51,8 @@ from .zeros import (AllZero, NoZero, PeriodicZeros, ZeroAt, ZeroTail,
 
 # The second-largest prime below 2^30 (the zero-scan kernel screens with the
 # largest), so the oracle shares neither code nor modulus with the scan it
-# referees; every residue is a single CPython digit.
+# referees; every residue is a single CPython digit.  Read at call time, and
+# part of the oracle tables' cache key.
 _ORACLE_PRIME = 1_073_741_783
 
 ALL_CHECKS = ("zeros", "growth", "height", "lucas", "zero-family")
@@ -138,24 +150,111 @@ def config_from_dict(data: dict) -> SweepConfig:
     return cfg
 
 
+# A table entry is key << _N_BITS | n, so entries sort by key and then by
+# index, and one bisection finds a key's last index up to any horizon.
+_N_BITS = 32
+_N_MASK = (1 << _N_BITS) - 1
+
+
+class _ZeroTable:
+    """The indices 1 <= n <= hi at which u_n = 0 (mod m), for every (P, Q)
+    of one (A mod m, B mod m) at once.
+
+    For n >= 1, u_n = Q*U_n - P*B*U_{n-1}, where U is the Lucas sequence of
+    (A, B) (u_0 = P, u_1 = Q).  So u_n = 0 (mod m) exactly when (P : Q) is
+    the projective point (U_n : B*U_{n-1}) mod m.  Index n is stored under
+    that point's key: U_n * (B*U_{n-1})^-1 when B*U_{n-1} != 0 (a (P, Q)
+    with Q != 0 has key P * Q^-1); m, "infinity", when only U_n != 0 (the
+    (P, Q) with Q = 0); and m + 1 when both are 0, which every (P, Q)
+    matches.  A (P, Q) = (0, 0) matches every index.  The keys of one
+    growth share one modular inverse (Montgomery's batch inversion), and
+    the table holds one machine word per index.
+    """
+
+    __slots__ = ("a", "b", "m", "hi", "prev", "cur", "entries")
+
+    def __init__(self, a: int, b: int, m: int):
+        self.a, self.b, self.m = a, b, m
+        self.hi = 0
+        self.prev, self.cur = 0, 1          # U_hi, U_{hi+1} mod m
+        self.entries = array("q")
+
+    def _grow(self, hi: int) -> None:
+        """Extend the table to the indices up to hi."""
+        a, b, m, lo = self.a, self.b, self.m, self.hi
+        prev, cur = self.prev, self.cur
+        # us[i] = U_{lo+i}; prods[i] is the product of the nonzero
+        # B*U_{n-1} of the indices n before lo+1+i
+        us, prods = array("q", [prev]), array("q")
+        acc = 1
+        for _ in range(lo, hi):
+            us.append(cur)
+            prods.append(acc)
+            y = b * prev % m
+            if y:
+                acc = acc * y % m
+            prev, cur = cur, (a * cur - b * prev) % m
+        # inv runs through the inverses of the products, last index first,
+        # so inv * prods[i] is the inverse of index lo+1+i's nonzero y
+        inv = pow(acc, -1, m)
+        new = []
+        for i in range(hi - lo - 1, -1, -1):
+            # the point of index n = lo+1+i is (U_n : B*U_{n-1})
+            x, y, n = us[i + 1], b * us[i] % m, lo + 1 + i
+            if y:
+                new.append((x * inv * prods[i] % m) << _N_BITS | n)
+                inv = inv * y % m
+            else:
+                new.append((m if x else m + 1) << _N_BITS | n)
+        new.extend(self.entries)
+        new.sort()
+        self.entries = array("q", new)
+        self.hi, self.prev, self.cur = hi, prev, cur
+
+    def _last_under(self, key: int, horizon: int) -> int:
+        entries = self.entries
+        i = bisect_right(entries, key << _N_BITS | horizon)
+        if i and entries[i - 1] >> _N_BITS == key:
+            return entries[i - 1] & _N_MASK
+        return 0
+
+    def last_zero(self, P: int, Q: int, horizon: int) -> int:
+        """The largest n in [1, horizon] with u_n = 0 (mod m), or 0."""
+        if horizon < 1:
+            return 0
+        if horizon > _N_MASK:
+            raise ValueError(f"oracle horizon {horizon} exceeds 2^{_N_BITS} - 1")
+        if horizon > self.hi:
+            self._grow(min(max(horizon, 2 * self.hi), _N_MASK))
+        m = self.m
+        p, q = P % m, Q % m
+        if q:
+            key = p * pow(q, -1, m) % m
+        elif p:
+            key = m
+        else:
+            return horizon
+        return max(self._last_under(key, horizon), self._last_under(m + 1, horizon))
+
+
+@lru_cache(maxsize=4)
+def _zero_table(a: int, b: int, m: int) -> _ZeroTable:
+    """The pair's table, kept while the sweep works through its (P, Q)."""
+    return _ZeroTable(a, b, m)
+
+
 def brute_force_zero_oracle(params: SequenceParams, horizon: int) -> list[int]:
     """All k <= horizon with u_k = 0, by plain iteration.
 
     Deliberately independent of the kernels: no normalization, no bounds,
-    no doubling, and its own loop and prime; this is the referee for every
-    ZeroResult.  A pass modulo _ORACLE_PRIME finds the last index whose
-    residue is 0 (a nonzero residue proves u_k != 0); the exact recurrence
-    then runs up to that index and decides every hit.
+    no fast doubling, and its own table and prime; this is the referee for
+    every ZeroResult.  The pair's _ZeroTable modulo _ORACLE_PRIME gives the last
+    index whose residue is 0 (a nonzero residue proves u_k != 0); the exact
+    recurrence then runs up to that index and decides every hit.
     """
     m = _ORACLE_PRIME
     A, B = params.A, params.B
-    last = 0
-    r_a, r_b = A % m, B % m
-    r_prev, r_cur = params.P % m, params.Q % m
-    for n in range(1, horizon + 1):
-        if r_cur == 0:
-            last = n
-        r_prev, r_cur = r_cur, (r_a * r_cur - r_b * r_prev) % m
+    last = _zero_table(A % m, B % m, m).last_zero(params.P, params.Q, horizon)
 
     hits = []
     prev, cur = params.P, params.Q

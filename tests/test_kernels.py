@@ -13,6 +13,7 @@ from brigkit.core import Kind
 from brigkit.growth import (BranchKind, check_lucas_growth,
                             check_nonreal_growth, check_real_growth,
                             real_case_branch)
+from brigkit.intutil import surd_sign
 from conftest import iter_lucas_u, iter_lucas_v, iter_terms
 
 small = st.integers(-10, 10)
@@ -169,6 +170,31 @@ def test_scan_agrees_with_per_index_checker_lucas(a, b, hi):
     per_index = [n for n in range(2, hi + 1)
                  if not check_lucas_growth(a, b, n).bound_holds]
     assert bad == (per_index[0] if per_index else -1)
+
+
+def test_lucas_bound_margin_for_negative_b_is_exactly_two():
+    """For B < 0 the scan checks 2|U_n| >= alpha^(n-2).  Over the growth
+    box's negative B (A in [1, 12], B in [-3, -1], 2 <= n <= 200) the
+    smallest 2|U_n| / alpha^(n-2) is exactly 2, and only at n = 2 with
+    A = 1, where U_2 = A = 1 = alpha^0.  So halving the constant (checking
+    |U_n| >= alpha^(n-2)) turns no verdict in the box: the weakest point
+    only ties, and no witness here can catch that mutation.  The same exact
+    scan over A <= 40, B >= -60, n <= 200 finds the same minimum, again
+    only at A = 1, n = 2.
+
+    |U_n| vs alpha^m is the sign of 2|U_n| - V_m - U_m*sqrt(delta), decided
+    on exact integers."""
+    ties = []
+    for a in range(1, 13):
+        for b in range(-3, 0):
+            delta = a * a - 4 * b
+            lu, lv = iter_lucas_u(a, b, 200), iter_lucas_v(a, b, 200)
+            for n in range(2, 201):
+                sign = surd_sign(2 * abs(lu[n]) - lv[n - 2], -lu[n - 2], delta)
+                assert sign >= 0, (a, b, n)
+                if sign == 0:
+                    ties.append((a, b, n))
+    assert ties == [(1, -3, 2), (1, -2, 2), (1, -1, 2)]
 
 
 def _first_violation(a, b, p, q, lo, hi, far):

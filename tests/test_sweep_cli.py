@@ -10,6 +10,7 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from brigkit import SequenceParams, classify, kernels
 from brigkit import sweep as sweep_mod
@@ -72,6 +73,82 @@ def test_oracle_matches_plain_recurrence_on_degenerate_grid(monkeypatch, prime):
                     assert brute_force_zero_oracle(params, 80) == expected, params
     assert {Reason.A_ZERO, Reason.B_ZERO, Reason.EQUAL_ROOTS,
             Reason.BOTH_INITIAL_ZERO} <= reasons
+
+
+ORACLE_PRIME = sweep_mod._ORACLE_PRIME
+oracle_coeff = st.one_of(st.integers(-60, 60),
+                         st.integers(-2, 2).map(lambda c: c * ORACLE_PRIME))
+oracle_initial = st.one_of(st.integers(-2 ** 80, 2 ** 80),
+                           st.integers(-2 ** 50, 2 ** 50).map(lambda c: c * ORACLE_PRIME))
+
+
+@st.composite
+def oracle_queries(draw):
+    """(A, B, [(P, Q, horizon), ...]): several queries on one pair, in the
+    order drawn, so that its table is reused for smaller horizons and
+    regrown for larger ones."""
+    a, b = draw(oracle_coeff), draw(oracle_coeff)
+    points = []
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["any", "zero-mod-p", "constructed"]))
+        if kind == "constructed":
+            # s*(U_k, B*U_{k-1}) vanishes at k
+            k = draw(st.integers(1, 400))
+            u = iter_terms(a, b, 0, 1, k)
+            s = draw(oracle_initial.filter(bool))
+            points.append((s * u[k], s * b * u[k - 1]))
+        elif kind == "zero-mod-p":
+            mult = st.integers(-2 ** 40, 2 ** 40).map(lambda c: c * ORACLE_PRIME)
+            points.append((draw(mult), draw(mult)))
+        else:
+            points.append((draw(oracle_initial), draw(oracle_initial)))
+    horizons = draw(st.lists(st.integers(0, 400), min_size=1, max_size=4))
+    queries = [(p, q, h) for p, q in points for h in horizons]
+    return a, b, draw(st.permutations(queries))
+
+
+@settings(max_examples=200, deadline=None)
+@given(oracle_queries())
+@example((3, 2, [(1, 1, 100), (1, 1, 150), (2 ** 17 - 1, 2 ** 17 - 2, 30),
+                 (2 ** 17 - 1, 2 ** 17 - 2, 16)]))   # a zero past 16, in the table
+@example((3, 2, [(5, ORACLE_PRIME, 40), (0, 0, 30), (ORACLE_PRIME, 0, 20)]))
+@example((ORACLE_PRIME, 0, [(1, 2, 50), (0, 3, 10), (4, 0, 60)]))
+@example((0, ORACLE_PRIME, [(1, 0, 120), (1, 1, 60), (0, 1, 121)]))
+@example((0, 0, [(5, 7, 80), (0, 0, 3)]))
+@example((ORACLE_PRIME, -ORACLE_PRIME, [(1, 1, 200), (0, 1, 400), (2, 0, 399)]))
+def test_oracle_table_matches_plain_recurrence(case):
+    """The oracle's per-pair table against conftest's recurrence, on the
+    cases the table treats apart: P or Q a multiple of the prime (the
+    infinity key and (P, Q) = (0, 0) mod p), A or B = 0 mod p (the bucket
+    every (P, Q) matches), and zeros at a chosen index."""
+    a, b, queries = case
+    sweep_mod._zero_table.cache_clear()
+    for p, q, horizon in queries:
+        terms = iter_terms(a, b, p, q, horizon)
+        expected = [k for k, u in enumerate(terms) if u == 0]
+        assert brute_force_zero_oracle(SequenceParams(a, b, p, q), horizon) == expected
+
+
+def test_oracle_table_is_small_and_cached():
+    """One machine word per index decided, never the terms, behind a bounded
+    cache keyed on the residues of (A, B) and on the prime; a horizon past
+    the table grows it to at least twice its size."""
+    assert sweep_mod._zero_table.cache_info().maxsize is not None
+    m = ORACLE_PRIME
+    for a, b in [(3, 2), (1, -1), (0, 5), (5, 0), (0, 0)]:
+        sweep_mod._zero_table.cache_clear()
+        brute_force_zero_oracle(SequenceParams(a, b, 1, 1), 2000)
+        table = sweep_mod._zero_table(a % m, b % m, m)
+        assert sweep_mod._zero_table.cache_info().hits == 1
+        assert (table.hi, len(table.entries)) == (2000, 2000)
+        assert table.entries.typecode == "q" and table.entries.itemsize == 8
+        brute_force_zero_oracle(SequenceParams(a + m, b - m, 2, 3), 2001)
+        assert sweep_mod._zero_table(a % m, b % m, m) is table
+        assert (table.hi, len(table.entries)) == (4000, 4000)
+        brute_force_zero_oracle(SequenceParams(a, b, 1, 1), 9000)
+        assert (table.hi, len(table.entries)) == (9000, 9000)
+    with pytest.raises(ValueError):
+        brute_force_zero_oracle(SequenceParams(3, 2, 1, 1), 2 ** 32)
 
 
 def test_config_validation():
@@ -461,6 +538,28 @@ def test_zeros_sweep_report_bytes_are_pinned(jobs):
     assert violations == 0 == assertion_count(report)
     digest = hashlib.sha256(render_json(report).encode()).hexdigest()
     assert digest == ZEROS_SWEEP_SHA256
+
+
+_ZEROS_SWEEP_DIGEST = """
+import hashlib
+from brigkit.sweep import SweepConfig, render_json, run_sweep
+cfg = SweepConfig(a_range=(-5, 5), b_range=(-5, 5), p_range=(-3, 3),
+                  q_range=(-3, 3), n_horizon=200,
+                  checks=("zeros", "zero-family"), parallelism=1)
+report, violations = run_sweep(cfg)
+print(violations, hashlib.sha256(render_json(report).encode()).hexdigest())
+"""
+
+
+def test_zeros_sweep_report_bytes_are_pinned_under_optimized_mode():
+    """The zero checks decide nothing by `assert`: under python -O the
+    zeros-sweep box reports the same bytes and no violation."""
+    env = dict(os.environ)
+    src = Path(__file__).resolve().parent.parent / "src"
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-O", "-c", _ZEROS_SWEEP_DIGEST],
+                         env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.split() == ["0", ZEROS_SWEEP_SHA256]
 
 
 # sha256 of the growth-sweep box's JSON report (the benchmark's growth-sweep
