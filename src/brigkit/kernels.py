@@ -4,16 +4,20 @@ Everything here is plain integer arithmetic: comparisons against powers of
 roots use Lucas-pair representations, and a bound with a surd in it is
 violated exactly when one intutil.surd_sign of (bound - |u_n|), with
 denominators cleared, is positive; so no rationals and no floating point
-appear in any loop.  The zero scan first runs the recurrence on residues
-modulo a prime: a nonzero residue proves u_n != 0, so the screen only rules
-indices out, and the exact recurrence decides every index it leaves.  The
-real and Lucas growth scans first compare bit lengths: alpha^m and phi^m
+appear in any loop.  The zero scan first screens residues modulo a prime:
+a baby-step giant-step search finds the last index whose residue is 0 in
+O(sqrt(hi)) giant steps, with one baby table per (A, B) mod the prime.  A
+nonzero residue proves u_n != 0, so the screen only rules indices out, and
+the exact recurrence, unchanged, decides every index it leaves.  The real
+and Lucas growth scans first compare bit lengths: alpha^m and phi^m
 depend only on (A, B) and m, so a cached per-pair table holds
 e_m = bit_length(floor(alpha^m)), and 2^(e_m - 1) <= alpha^m < 2^e_m makes
 a longer k*|u_n| prove a bound k*|u_n| >= alpha^m and a shorter one refute
 it.  Only equal lengths go to surd_sign, on a Lucas pair built for that
-index.  The kernels call lucas_u_pair through this module's globals, so a
-wrapper set on brigkit.kernels.lucas_u_pair sees every call.
+index.  The non-real scan builds |u_n|^3 only where its bit length and that
+of B^n leave |u_n|^3 < B^n open.  The kernels call lucas_u_pair through
+this module's globals, so a wrapper set on brigkit.kernels.lucas_u_pair
+sees every call.
 """
 
 from __future__ import annotations
@@ -88,21 +92,16 @@ def term_iter(A: int, B: int, P: int, Q: int, n: int) -> int:
 def zero_scan(A: int, B: int, P: int, Q: int, lo: int, hi: int) -> list[int]:
     """All k in [lo, hi] with u_k = 0.
 
-    Two passes.  The screen runs the recurrence modulo _SCREEN_PRIME over
-    [1, hi] and keeps the last index whose residue is 0; u_k is not 0 mod
-    the prime implies u_k != 0, so no zero lies past that index.  The exact
-    pass then iterates the integer recurrence up to it and returns its hits:
-    a residue never decides a verdict, and a false residue hit only makes
-    the exact pass longer.
+    Two passes.  The screen finds, modulo p = _SCREEN_PRIME, the last index
+    in [1, hi] whose residue is 0 (see _last_residue_zero: a baby-step
+    giant-step search in O(sqrt(hi)) giant steps); u_k is not 0 mod p
+    implies u_k != 0, so no zero lies past that index.  The exact pass then
+    iterates the integer recurrence up to it and returns its hits: a residue
+    never decides a verdict, and a false residue hit only makes the exact
+    pass longer.
     """
-    m = _SCREEN_PRIME
-    a, b = A % m, B % m
-    prev, cur = P % m, Q % m
-    last = 0
-    for n in range(1, hi + 1):
-        if not cur:
-            last = n
-        prev, cur = cur, (a * cur - b * prev) % m
+    p = _SCREEN_PRIME
+    last = _last_residue_zero(A % p, B % p, P % p, Q % p, hi, p)
 
     hits = []
     prev, cur = P, Q
@@ -115,6 +114,72 @@ def zero_scan(A: int, B: int, P: int, Q: int, lo: int, hi: int) -> list[int]:
         prev, cur = cur, A * cur - B * prev
         n += 1
     return hits
+
+
+def _last_residue_zero(a: int, b: int, x: int, z: int, hi: int, p: int) -> int:
+    """The last n in [1, hi] with u_n = 0 mod p, or 0 if there is none, for
+    the residues a, b of A, B and x, z of P, Q.
+
+    s_n = (u_n, u_{n+1}) = N^n (x, z) with N = [[0, 1], [-b, a]].  For b != 0
+    and s_0 != 0, N is invertible, so s_n never vanishes and u_n = 0 exactly
+    when s_n is the projective point (0 : 1).  Writing n = i*m - j with
+    1 <= i <= ceil(hi/m) and 0 <= j < m covers [1, ceil(hi/m)*m] once, and
+    u_n = 0 exactly when G^i s_0 is the point N^j (0 : 1), G = N^m: the baby
+    table of _baby_steps maps each point's key to its j, and the giant steps
+    look G^i s_0 up in it.  A point's key is x/z mod p, or p for z = 0.
+    m is a power of two near sqrt(hi), so a call takes about sqrt(hi) giant
+    steps and the table is shared by every (P, Q) of a pair.  The cases
+    outside that argument have closed forms: s_0 = 0 makes every residue 0;
+    b = 0 gives u_n = a^(n-1)*z for n >= 1; and when (0 : 1) returns to
+    itself after T < m steps, the zeros are the n = -j (mod T).
+    """
+    if hi < 1:
+        return 0
+    if not x and not z:
+        return hi
+    if not b:
+        if not z:
+            return hi
+        return hi if not a and hi >= 2 else 0
+    m = 1 << (hi.bit_length() + 1) // 2
+    table, period, giant = _baby_steps(a, b, p, m)
+    if period:
+        j = table.get(x * pow(z, -1, p) % p if z else p)
+        if j is None:
+            return 0
+        return max(hi - (hi + j) % period, 0)
+    g11, g12, g21, g22 = giant
+    last = 0
+    for i in range(1, -(-hi // m) + 1):
+        x, z = (g11 * x + g12 * z) % p, (g21 * x + g22 * z) % p
+        j = table.get(x * pow(z, -1, p) % p if z else p)
+        if j is not None and i * m - j <= hi:
+            last = i * m - j
+    return last
+
+
+@lru_cache(maxsize=16)
+def _baby_steps(a: int, b: int, p: int, m: int):
+    """(table, period, G) for the giant-step screen modulo the prime p, with
+    b != 0 mod p.
+
+    N^j (0, 1) = (U_j, U_{j+1}), the Lucas sequence mod p.  table maps the
+    key of each point N^j (0 : 1) to j.  N permutes the projective line, so
+    the orbit of (0 : 1) is a cycle, and the first repeated key is that of
+    (0 : 1) itself, at j = T, the cycle length: period is T when T < m and
+    then the table holds j < T and G is None; otherwise period is 0, the
+    table holds j < m, and G = N^m = [[U_{m+1} - a*U_m, U_m],
+    [-b*U_m, U_{m+1}]] mod p.
+    """
+    table = {}
+    x, z = 0, 1
+    for j in range(m):
+        key = x * pow(z, -1, p) % p if z else p
+        if key in table:
+            return table, j, None
+        table[key] = j
+        x, z = z, (a * z - b * x) % p
+    return table, 0, ((z - a * x) % p, x, -b * x % p, z)
 
 
 @lru_cache(maxsize=8)
@@ -208,7 +273,12 @@ def real_growth_scan(A: int, B: int, P: int, Q: int,
 def nonreal_growth_scan(A: int, B: int, P: int, Q: int,
                         lo: int, hi: int) -> int:
     """Last n in [lo, hi] with |u_n|^3 < B^n, or -1 if the cube bound holds
-    throughout.  Requires A^2 < 4B (so B >= 1)."""
+    throughout.  Requires A^2 < 4B (so B >= 1).
+
+    Screened by bit lengths: for L = bit_length(|u_n|) and e =
+    bit_length(B^n), |u_n|^3 lies in [2^(3L-3), 2^(3L)) and B^n in
+    [2^(e-1), 2^e), so 3L < e proves |u_n|^3 < B^n and 3L - 2 > e refutes
+    it; only 3L - 2 <= e <= 3L builds the cube."""
     if lo < 0 or hi < lo:
         return -1
     prev, cur = P, Q
@@ -220,7 +290,8 @@ def nonreal_growth_scan(A: int, B: int, P: int, Q: int,
     n = lo
     while n <= hi:
         a = -un if un < 0 else un
-        if a * a * a < bp:
+        t, e = 3 * a.bit_length(), bp.bit_length()
+        if t < e or (e >= t - 2 and a * a * a < bp):
             last = n
         if n == 0:
             un = Q

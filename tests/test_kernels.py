@@ -107,6 +107,95 @@ def test_zero_scan_with_small_screening_prime(monkeypatch, prime):
                     == _plain_zeros(a, b, p, q, lo, 40)), (prime, a, b, p, q, lo)
 
 
+def _plain_last_residue_zero(a, b, x, z, hi, p):
+    """The last n in [1, hi] with u_n = 0 mod p, or 0, by a plain residue
+    loop: the reference for the kernel's baby-step giant-step screen."""
+    last, prev, cur = 0, x % p, z % p
+    for n in range(1, hi + 1):
+        if not cur:
+            last = n
+        prev, cur = cur, (a * cur - b * prev) % p
+    return last
+
+
+# The screen's giant blocks have a power-of-two length m near sqrt(hi), so
+# hi next to a power of two is next to a block boundary for every m; the
+# squares and 10^4 +- 1 (10^4 is the non-real cutoff c4) end inside a block.
+SCREEN_HIS = sorted({0, 1, 2, 3, 4, 5, 9, 25, 49, 81, 100, 2500, 9801,
+                     9_999, 10_000, 10_001}
+                    | {2 ** e + d for e in range(1, 14) for d in (-1, 0, 1)})
+
+
+@st.composite
+def residue_screen_inputs(draw):
+    """(p, a, b, x, z) mod a prime where residue zeros recur below 10^4:
+    the orbit of (0 : 1) has at most p + 1 points, so at p = 101 every
+    orbit is shorter than the blocks of hi >= 4096 and at 10007 most are
+    longer.  Draws cover b = 0, s_0 = (0, 0) and constructed zeros."""
+    p = draw(st.sampled_from([101, 1009, 10007]))
+    a = draw(st.integers(0, p - 1))
+    b = draw(st.one_of(st.just(0), st.integers(1, p - 1)))
+    shape = draw(st.sampled_from(["free", "zero", "built"]))
+    if shape == "zero":
+        x = z = 0
+    elif shape == "built":
+        # u_k = z*U_k - x*b*U_{k-1} vanishes for (x, z) = s*(U_k, b*U_{k-1})
+        k = draw(st.integers(1, 10_001))
+        prev, cur = 0, 1
+        for _ in range(k - 1):
+            prev, cur = cur, (a * cur - b * prev) % p
+        s = draw(st.integers(1, p - 1))
+        x, z = s * cur % p, s * b * prev % p
+    else:
+        x, z = draw(st.integers(0, p - 1)), draw(st.integers(0, p - 1))
+    return p, a, b, x, z
+
+
+@settings(max_examples=150, deadline=None)
+@given(residue_screen_inputs())
+@example((101, 0, 5, 3, 7))       # A = 0: (0 : 1) has period 2
+@example((101, 0, 5, 0, 7))
+@example((101, 7, 0, 3, 7))       # B = 0: N is singular, no zero
+@example((101, 0, 0, 3, 7))       # B = A = 0: zeros from n = 2 on
+@example((1009, 5, 0, 3, 0))      # B = 0, Q = 0: every n >= 1
+@example((10007, 3, 2, 0, 0))     # P = Q = 0
+@example((10007, 2, 1, 1, 0))     # z = 0 at n = 0; alpha = beta = 1
+@example((10007, 1, 10006, 1, 0))  # Fibonacci: u_n = F_(n-1), n = 1, ...
+def test_residue_screen_matches_plain_loop(case):
+    p, a, b, x, z = case
+    for hi in SCREEN_HIS:
+        assert (kernels._last_residue_zero(a, b, x, z, hi, p)
+                == _plain_last_residue_zero(a, b, x, z, hi, p)), hi
+
+
+@pytest.mark.parametrize("a, b", [(1, 2), (3, 5), (-2, 7)])
+def test_zero_scan_finds_a_constructed_zero_at_the_nonreal_cutoff(a, b):
+    """A zero at k = 9,500 with hi = 10^4, the scale of the sweep's
+    non-real c4: the screen's last residue zero is k, and the exact pass
+    confirms it."""
+    k = 9_500
+    u = iter_lucas_u(a, b, k)
+    p, q = u[k], b * u[k - 1]
+    prime = kernels._SCREEN_PRIME
+    assert kernels._last_residue_zero(a % prime, b % prime, p % prime,
+                                      q % prime, 10_000, prime) == k
+    assert kernels.zero_scan(a, b, p, q, 0, 10_000) == [k]
+    assert kernels.zero_scan(a, b, p, q, 0, k - 1) == []
+    assert kernels.zero_scan(a, b, p, q, k + 1, 10_000) == []
+
+
+def test_screen_tables_are_keyed_on_the_prime(monkeypatch):
+    """The same (A, B) and hi under different screening primes: a table
+    built for one prime must not answer for another."""
+    kernels._baby_steps.cache_clear()
+    u = iter_lucas_u(3, 5, 40)
+    p, q = u[37], 5 * u[36]
+    for prime in (101, 1009, PRIME, 101, PRIME):
+        monkeypatch.setattr(kernels, "_SCREEN_PRIME", prime)
+        assert kernels.zero_scan(3, 5, p, q, 0, 100) == [37], prime
+        assert kernels.zero_scan(3, 5, p, q + 1, 0, 100) == [], prime
+
+
 # hi=None scans lo..lo+40; the examples with hi=200 run to the sweep's
 # horizon, where the terms are hundreds of bits long and the bit-length
 # screen decides nearly every comparison.
@@ -150,6 +239,29 @@ def test_scan_agrees_with_per_index_checker_nonreal(a, b, p, q):
     per_index = [n for n in range(121)
                  if not check_nonreal_growth(params, n).margins[0].holds]
     assert last == (per_index[-1] if per_index else -1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(-40, 40), st.integers(1, 900), initial, initial,
+       st.integers(0, 40))
+@example(2, 8, 1, 2, 0)     # |u_n|^3 = 8^n exactly at n = 0, 1, 2
+@example(2, 8, 1, 2, 3)
+@example(0, 8, 1, 2, 0)     # ties at n = 0, 1
+@example(1, 1, 1, 1, 0)     # |u_n| <= 1 = B^n: every n ties or fails
+@example(0, 9, 1, 2, 0)     # n = 1: 3L - 2 = e and 8 < 9
+@example(0, 300, 1, 7, 0)   # n = 1: 3L = e and 343 >= 300
+def test_nonreal_scan_matches_plain_cube_comparison(a, b, p, q, lo):
+    """The bit-length screen against |u_n|^3 < B^n computed in full, index
+    by index to lo + 20 and over the whole window to 200."""
+    assume(a * a < 4 * b)
+    terms = iter_terms(a, b, p, q, 200)
+    below = [n for n in range(201) if abs(terms[n]) ** 3 < b ** n]
+    for n in range(lo, lo + 21):
+        assert kernels.nonreal_growth_scan(a, b, p, q, n, n) == (
+            n if n in below else -1), n
+    tail = [n for n in below if n >= lo]
+    assert kernels.nonreal_growth_scan(a, b, p, q, lo, 200) == (
+        tail[-1] if tail else -1)
 
 
 @settings(max_examples=150, deadline=None)
