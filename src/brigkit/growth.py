@@ -30,8 +30,7 @@ from .core import (DegenerateInputError, Kind, Reason, SequenceParams, classify,
                    discriminant)
 from .exactnum import QuadElem, alpha_power
 from .intutil import surd_sign
-from .logbounds import (ceil_log_affine, exceeds_log_affine, floor_log_squared,
-                        upper_log_loglog)
+from .logbounds import ceil_log_affine, floor_log_squared, upper_log_loglog
 
 
 class HeightBoundError(RuntimeError):
@@ -213,7 +212,7 @@ def check_sharp_growth(params: SequenceParams, n: int) -> GrowthReport:
         regime = "sharp-near-wide"
         # smallest n with n > 12 + 5*ln|Q| (the bound is strict)
         t = ceil_log_affine(5, abs_q, 12) + (1 if abs_q == 1 else 0)
-        if not exceeds_log_affine(n, 5, abs_q, 12):
+        if n < t:
             return _report(n, regime, False, threshold=t)
         un = abs(terms.term_fast(params, n))
         m1 = _margin("alpha-over-5p",

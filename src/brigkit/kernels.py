@@ -2,28 +2,27 @@
 
 Everything here is plain integer arithmetic: comparisons against powers of
 roots use Lucas-pair representations, and a bound with a surd in it is
-violated exactly when one intutil.surd_sign of (bound - |u_n|), with
-denominators cleared, is positive; so no rationals and no floating point
-appear in any loop.  The zero scan first screens residues modulo a prime:
-a baby-step giant-step search finds the last index whose residue is 0 in
-O(sqrt(hi)) giant steps, with one baby table per (A, B) mod the prime.  A
-nonzero residue proves u_n != 0, so the screen only rules indices out, and
-the exact recurrence, unchanged, decides every index it leaves.  The real
-and Lucas growth scans first compare bit lengths: alpha^m and phi^m
-depend only on (A, B) and m, so a cached per-pair table holds
-e_m = bit_length(floor(alpha^m)), and 2^(e_m - 1) <= alpha^m < 2^e_m makes
-a longer k*|u_n| prove a bound k*|u_n| >= alpha^m and a shorter one refute
-it.  Only equal lengths go to surd_sign, on a Lucas pair built for that
-index.  The non-real scan builds |u_n|^3 only where its bit length and that
-of B^n leave |u_n|^3 < B^n open.  The kernels call lucas_u_pair through
-this module's globals, so a wrapper set on brigkit.kernels.lucas_u_pair
-sees every call.
+decided by one intutil.surd_sign on integers with denominators cleared, so
+no rationals and no floating point appear in any loop.  The zero scan first
+screens residues modulo a prime: a baby-step giant-step search finds the
+last index whose residue is 0 in O(sqrt(hi)) giant steps, with one baby
+table per (A, B) mod the prime.  A nonzero residue proves u_n != 0, so the
+screen only rules indices out, and the exact recurrence, unchanged, decides
+every index it leaves.  The real and Lucas growth scans share one loop,
+_first_violation, built on the closed form sqrt(delta)*u_n =
+(Q - P*beta)*alpha^n - (Q - P*alpha)*beta^n: its lower envelope l_n, with
+l_n/alpha^n never decreasing, turns one exact test at one index into a
+proof of a bound at every later index, so a scan usually ends at its first
+index; where the envelope does not yet suffice, the bounds are decided
+exactly on |u_n| and the scan steps once.  The non-real scan builds
+|u_n|^3 only where its bit length and that of B^n leave |u_n|^3 < B^n
+open.  The kernels call lucas_u_pair through this module's globals, so a
+wrapper set on brigkit.kernels.lucas_u_pair sees every call.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from math import isqrt
 
 from .intutil import surd_sign
 
@@ -182,30 +181,78 @@ def _baby_steps(a: int, b: int, p: int, m: int):
     return table, 0, ((z - a * x) % p, x, -b * x % p, z)
 
 
-@lru_cache(maxsize=8)
-def _power_bits(A: int, B: int, hi: int) -> tuple[int, ...]:
-    """e_m = bit_length(floor(alpha^m)) for m = 0..hi, where
-    alpha = (A + sqrt(delta))/2, A > 0 and delta = A^2 - 4B > 0.
+def _envelope(A: int, B: int, P: int, Q: int, n: int,
+              un: int, un1: int) -> tuple[int, int]:
+    """(y, r) with y/sqrt(r) = l_n, the lower envelope of |u_n|, from
+    (un, un1) = (u_n, u_{n+1}).  Requires A > 0 and delta = A^2 - 4B > 0.
 
-    floor(alpha^m) = (V_m + isqrt(U_m^2*delta)) >> 1 exactly, since U_m >= 0
-    and floor(x/2) = floor(floor(x)/2).  Only the bit lengths are kept, so a
-    table costs O(hi) words; the Fibonacci table is the one for (1, -1).
+    sqrt(delta)*u_n = (Q - P*beta)*alpha^n - (Q - P*alpha)*beta^n, so
+    sqrt(delta)*l_n = |Q - P*beta|*alpha^n - |Q - P*alpha|*|beta|^n is at
+    most sqrt(delta)*|u_n|.  With s1 the sign of Q - P*beta and t that of
+    (Q - P*alpha)*beta^n, t = sign(Q - P*alpha)*sign(B)^n: if s1 = t, or
+    s1 = 0 (the alpha^n term vanishes), then sqrt(delta)*l_n is
+    t*sqrt(delta)*u_n, so l_n = t*u_n (r = 1); otherwise it is s1*w_n with
+    w_n = 2u_{n+1} - A*u_n = (Q - P*beta)*alpha^n + (Q - P*alpha)*beta^n
+    (r = delta).  |beta| < alpha, so l_n/alpha^n never decreases.
     """
     delta = A * A - 4 * B
-    bits = []
-    u, u1 = 0, 1
-    for _ in range(hi + 1):
-        bits.append(((2 * u1 - A * u + isqrt(u * u * delta)) >> 1).bit_length())
-        u, u1 = u1, A * u1 - B * u
-    return tuple(bits)
+    h = 2 * Q - A * P
+    s1 = surd_sign(h, P, delta)          # 2(Q - P*beta) = h + P*sqrt(delta)
+    t = surd_sign(h, -P, delta) * ((B > 0) - (B < 0)) ** n
+    if s1 == t or not s1:
+        return t * un, 1
+    return s1 * (2 * un1 - A * un), delta
 
 
-def _power_exceeds(A: int, B: int, m: int, x: int, w: int = 1) -> bool:
-    """Exactly whether w*alpha^m > x, for the alpha of _power_bits: the
-    sign of w*V_m - 2x + w*U_m*sqrt(delta).  The scans call it only where
-    the bit lengths leave the comparison open."""
-    u, v = lucas_uv(A, B, m)
-    return surd_sign(w * v - 2 * x, w * u, A * A - 4 * B) > 0
+def _at_least(x: int, c: int, v: int, u: int, d: int, r: int) -> bool:
+    """Exactly whether x >= c*sqrt(r)*(v + u*sqrt(d))/2, for c, r > 0 and a
+    right-hand side >= 0: the sign of 4x^2 - c^2*r*(v + u*sqrt(d))^2."""
+    return x >= 0 and surd_sign(4 * x * x - c * c * r * (v * v + d * u * u),
+                                -2 * c * c * r * u * v, d) >= 0
+
+
+def _first_violation(A: int, B: int, P: int, Q: int, lo: int, hi: int,
+                     bounds) -> int:
+    """First n in [lo, hi] where some bound k_n*|u_n| >= c*gamma^m fails, or
+    -1 if none.  Requires A > 0, A^2 > 4B, lo >= 2.
+
+    Each bound is (k, e, c, off, a, b): m = n - off >= 0, k_n = k*2^(e*m),
+    and gamma = (a + sqrt(a^2 - 4b))/2, so gamma^m = (V_m + U_m*sqrt(d))/2
+    with (U_m, V_m) the Lucas pair of (a, b) and d = a^2 - 4b; U_m >= 0.
+
+    At each n the envelope is tried first: for B != 0, alpha >= phi, and
+    every bound has gamma <= 2^e*alpha, so k_n*l_n >= c*gamma^m at one n
+    (see _envelope) proves that bound at every later index, and when all
+    bounds are proved the scan returns -1.  Otherwise the bounds are
+    decided exactly at n, on |u_n|, and the scan steps once.  B = 0 (where
+    alpha = A may be below phi) never takes the envelope.
+    """
+    if lo < 2:
+        raise ValueError("scan start must be >= 2")
+    if A < 1 or A * A <= 4 * B:
+        raise ValueError("growth scans require A > 0 and A^2 > 4B")
+    if hi < lo:
+        return -1
+    state = []
+    for k, e, c, off, a, b in bounds:
+        m = lo - off
+        u, v = lucas_uv(a, b, m)
+        state.append((k << e * m, e, c, v, u, a, a * a - 4 * b))
+    un, un1 = term_window(A, B, P, Q, lo)
+    for n in range(lo, hi + 1):
+        if B:
+            y, r = _envelope(A, B, P, Q, n, un, un1)
+            if all(_at_least(k * y, c, v, u, d, r)
+                   for k, e, c, v, u, a, d in state):
+                return -1
+        absu = abs(un)
+        if not all(_at_least(k * absu, c, v, u, d, 1)
+                   for k, e, c, v, u, a, d in state):
+            return n
+        un, un1 = un1, A * un1 - B * un
+        state = [(k << e, e, c, (a * v + d * u) >> 1, (a * u + v) >> 1, a, d)
+                 for k, e, c, v, u, a, d in state]
+    return -1
 
 
 def real_growth_scan(A: int, B: int, P: int, Q: int,
@@ -216,58 +263,16 @@ def real_growth_scan(A: int, B: int, P: int, Q: int,
     Requires A > 0, A^2 > 4B, P != 0, Q != 0, lo >= 2.  For the far branch
     the two checks are |u_n| >= |Q|*(alpha/2)^(n-2) and |u_n| >= |Q|*(sqrt5/2)^n;
     for the near branch |u_n| >= alpha^(n-2)/max(5|P|, 22|Q|) and
-    |u_n| >= phi^n/max(14|P|, 36|Q|).
-
-    Only u_n is rolled.  A bound k*|u_n| >= alpha^m is screened against
-    e = e_m from _power_bits: 2^(e-1) <= floor(alpha^m) <= alpha^m < 2^e, so
-    bit_length(k*|u_n|) > e proves it and < e refutes it.  On the far branch
-    |Q|*alpha^(n-2) is only known to lie in [2^(e+b-2), 2^(e+b)), b the bit
-    length of Q, so |u_n|*2^(n-2) is undecided at two lengths.  Every
-    undecided comparison goes to _power_exceeds, the exact surd_sign test.
+    |u_n| >= phi^n/max(14|P|, 36|Q|).  _first_violation decides them: one
+    envelope test usually proves both for every n >= lo at once.
     """
-    if lo < 2:
-        raise ValueError("scan start must be >= 2")
-    if hi < lo:
-        return -1
     absq = abs(Q)
-    ea = _power_bits(A, B, hi)
-
-    prev, cur = P, Q
-    for _ in range(lo - 1):
-        prev, cur = cur, A * cur - B * prev
-    if far:
-        q2 = Q * Q
-        bq = absq.bit_length()
-        pw2 = 1 << lo          # 2^n
-        pw5 = 5 ** lo          # 5^n
-        for n in range(lo, hi + 1):
-            absu = -cur if cur < 0 else cur
-            x = absu << (n - 2)             # |u_n|*2^(n-2) >= |Q|*alpha^(n-2)
-            gap = x.bit_length() - ea[n - 2] - bq
-            if gap < -1 or (gap <= 0 and _power_exceeds(A, B, n - 2, x, absq)):
-                return n
-            if absu * absu * pw2 * pw2 < q2 * pw5:
-                return n
-            prev, cur = cur, A * cur - B * prev
-            pw2 <<= 1
-            pw5 *= 5
-        return -1
-
-    k1 = max(5 * abs(P), 22 * absq)
-    k2 = max(14 * abs(P), 36 * absq)
-    ef = _power_bits(1, -1, hi)
-    for n in range(lo, hi + 1):
-        absu = -cur if cur < 0 else cur
-        x = k1 * absu                       # k1*|u_n| >= alpha^(n-2)
-        bits, e = x.bit_length(), ea[n - 2]
-        if bits < e or (bits == e and _power_exceeds(A, B, n - 2, x)):
-            return n
-        x = k2 * absu                       # k2*|u_n| >= phi^n
-        bits, e = x.bit_length(), ef[n]
-        if bits < e or (bits == e and _power_exceeds(1, -1, n, x)):
-            return n
-        prev, cur = cur, A * cur - B * prev
-    return -1
+    if far:                  # 2^(n-2)|u_n| >= |Q|*alpha^(n-2), 2^n|u_n| >= |Q|*sqrt5^n
+        bounds = ((1, 1, absq, 2, A, B), (1, 1, absq, 0, 0, -5))
+    else:                    # k1*|u_n| >= alpha^(n-2), k2*|u_n| >= phi^n
+        bounds = ((max(5 * abs(P), 22 * absq), 0, 1, 2, A, B),
+                  (max(14 * abs(P), 36 * absq), 0, 1, 0, 1, -1))
+    return _first_violation(A, B, P, Q, lo, hi, bounds)
 
 
 def nonreal_growth_scan(A: int, B: int, P: int, Q: int,
@@ -308,25 +313,10 @@ def lucas_growth_scan(A: int, B: int, lo: int, hi: int) -> int:
 
     Requires A > 0, A^2 > 4B, lo >= 2.  For B < 0 the bound is
     2|U_n| >= alpha^(n-2); for 0 < 4B < A^2 it is |U_n| >= alpha^(n-1).
-    Screened by bit lengths against _power_bits as in real_growth_scan;
-    equal lengths go to the exact _power_exceeds.
+    U_n is u_n at (P, Q) = (0, 1), decided by _first_violation.
     """
-    if lo < 2:
-        raise ValueError("scan start must be >= 2")
-    if hi < lo:
-        return -1
-    off, shift = (2, 1) if B < 0 else (1, 0)
-    ea = _power_bits(A, B, hi)
-    un, un1 = 0, 1
-    for _ in range(lo):
-        un, un1 = un1, A * un1 - B * un
-    for n in range(lo, hi + 1):
-        x = (-un if un < 0 else un) << shift
-        bits, e = x.bit_length(), ea[n - off]
-        if bits < e or (bits == e and _power_exceeds(A, B, n - off, x)):
-            return n
-        un, un1 = un1, A * un1 - B * un
-    return -1
+    bound = (2, 0, 1, 2, A, B) if B < 0 else (1, 0, 1, 1, A, B)
+    return _first_violation(A, B, 0, 1, lo, hi, (bound,))
 
 
 def backend_name() -> str:

@@ -1,10 +1,11 @@
 """Certified integer bounds of natural logarithms, and exact decisions on them.
 
-Search bounds and applicability thresholds have the shape ceil(c*ln(x) + d),
-strict tests n > c*ln(x) + d, or c*ln(x)*(ln ln x)^2 rounded up.  Rounding
-these with floating point could miss a bound near a tie, so everything here
-rests on one integer primitive, ln_bounds(num, den, prec), which returns
-integers lo <= 2^prec * ln(num/den) <= hi.
+Search bounds and applicability thresholds have the shape ceil(c*ln(x) + d)
+or c*ln(x)*(ln ln x)^2 rounded up; a strict test n < v of an integer n
+against such a v is n < ceil(v), so callers decide it from the ceiling.
+Rounding these with floating point could miss a bound near a tie, so
+everything here rests on one integer primitive, ln_bounds(num, den, prec),
+which returns integers lo <= 2^prec * ln(num/den) <= hi.
 
 ln_bounds reduces num/den = 2^e * m with m in [1, 2) and sums
 ln(m) = 2*atanh(y) = 2*sum y^(2j+1)/(2j+1), y = (m-1)/(m+1) < 1/3, and
@@ -124,22 +125,6 @@ def ceil_log_affine(coeff, x: int, offset, scale=1) -> int:
     scale = Fraction(scale)
     enclose = _affine_enclosure(scale * Fraction(coeff), x, scale * Fraction(offset))
     return _refine(enclose, _same(ceil))
-
-
-@lru_cache(maxsize=65536)
-def exceeds_log_affine(n: int, coeff, x: int, offset) -> bool:
-    """Exact test n > coeff*ln(x) + offset for integer x >= 1."""
-    def decide(lo, hi):
-        return True if n > hi else False if n <= lo else None
-    return _refine(_affine_enclosure(Fraction(coeff), x, Fraction(offset)), decide)
-
-
-@lru_cache(maxsize=65536)
-def below_log_affine(n: int, coeff, x: int, offset) -> bool:
-    """Exact test n < coeff*ln(x) + offset for integer x >= 1."""
-    def decide(lo, hi):
-        return True if n < lo else False if n >= hi else None
-    return _refine(_affine_enclosure(Fraction(coeff), x, Fraction(offset)), decide)
 
 
 def floor_log_squared(coeff, x: int) -> int:

@@ -44,7 +44,7 @@ from .core import Kind, SequenceParams, classify
 from .growth import (empirical_nonreal_threshold, height_sandwich_check,
                      nonreal_threshold_formula, ratio_height, real_case_branch,
                      BranchKind, DegenerateInputError, HeightBoundError)
-from .logbounds import below_log_affine
+from .logbounds import ceil_log_affine
 from .zeros import (AllZero, NoZero, PeriodicZeros, ZeroAt, ZeroTail,
                     construct_zero_at, find_zero, normalized_for_bound,
                     ConstructionError, DEFAULT_C4)
@@ -473,11 +473,11 @@ def _check_zero_family(a: int, b: int, pair_cls, cfg: SweepConfig,
         qn = max(abs(normalized.Q), 1)
         frec["q_normalized"] = str(qn)
         if pair_cls.kind is Kind.REAL:
-            frec["bound_ok"] = below_log_affine(k, 9, qn, 12)
+            frec["bound_ok"] = k < ceil_log_affine(9, qn, 12)
             if not frec["bound_ok"]:
                 found.append(_finding("assertion", "zero-bound-real", a, b, k=k))
         elif pair_cls.kind is Kind.NONREAL:
-            frec["bound_ok"] = below_log_affine(k, 10, max(qn, 2), 0)
+            frec["bound_ok"] = k < ceil_log_affine(10, max(qn, 2), 0)
             if not frec["bound_ok"]:
                 found.append(_finding("assertion" if k >= 50 else "informational",
                                       "zero-bound-nonreal", a, b, k=k))

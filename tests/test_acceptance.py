@@ -18,7 +18,7 @@ from brigkit.core import Kind
 from brigkit.growth import (DEFAULT_C_NONREAL_THRESHOLD,
                             empirical_nonreal_threshold,
                             nonreal_threshold_formula)
-from brigkit.logbounds import below_log_affine, exceeds_log_affine
+from brigkit.logbounds import ceil_log_affine
 from brigkit.sweep import SweepConfig, run_sweep
 from brigkit.terms import gcd_consecutive_U
 from brigkit.zeros import DEFAULT_C4, normalized_for_bound
@@ -62,8 +62,10 @@ def test_criterion_03_tightness_family():
         normalized, d, s = normalized_for_bound(params)
         assert (d, s) == (1, 1)
         qn = abs(normalized.Q)
-        assert below_log_affine(k, 9, qn, 12)                    # k < 9 ln|Q| + 12
-        assert exceeds_log_affine(k, Fraction(36, 25), qn, 0)    # k > 1.44 ln|Q|
+        # qn = 2^k - 2 >= 6, so 1.44 ln|Q| is irrational and k > it iff
+        # k >= its ceiling
+        assert k < ceil_log_affine(9, qn, 12)                    # k < 9 ln|Q| + 12
+        assert k >= ceil_log_affine(Fraction(36, 25), qn, 0)     # k > 1.44 ln|Q|
     elapsed = time.perf_counter() - t0
     assert elapsed < 5.0
     _announce(3, f"k in 3..60: zero at k, 9ln|Q|+12 bound holds, k > 1.44 ln Q "

@@ -1,9 +1,12 @@
 """Kernel checks: terms against the recurrence, the residue-screened zero
-scan against plain iteration, and scan-vs-checker cross-validation.
+scan against plain iteration, scan-vs-checker cross-validation, and the
+growth scans' lower envelope against an exact reference.
 
 The integer-only scan kernels must agree with the QuadElem-based per-index
 checkers (two independent routes to the same verdicts).
 """
+
+from itertools import product
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -197,8 +200,7 @@ def test_screen_tables_are_keyed_on_the_prime(monkeypatch):
 
 
 # hi=None scans lo..lo+40; the examples with hi=200 run to the sweep's
-# horizon, where the terms are hundreds of bits long and the bit-length
-# screen decides nearly every comparison.
+# horizon, where the terms are hundreds of bits long.
 @settings(max_examples=150, deadline=None)
 @given(coeff_a, coeff_b, initial, initial, st.none())
 @example(7, 12, 1, 1, None)
@@ -271,7 +273,7 @@ def test_nonreal_scan_matches_plain_cube_comparison(a, b, p, q, lo):
 @example(3, 2, 120)
 @example(7, 5, 120)
 @example(5, -6, 120)
-@example(3, 2, 200)      # alpha = 2: every step is a bit-length tie
+@example(3, 2, 200)      # alpha = 2, an integer
 @example(7, 12, 200)     # alpha = 4
 @example(1, -1, 200)
 @example(60, -60, 200)
@@ -340,18 +342,19 @@ def _first_violation(a, b, p, q, lo, hi, far):
 
 
 # (A, B) with a square discriminant, so alpha is an integer.  For (3, 2) and
-# (7, 12) every alpha^m is a power of two and a bit-length tie always holds;
-# alpha = 3 for (1, -6) and (5, 6), where Q = beta*P leaves only the beta^n
-# term and ties go both ways; (1, 0) has alpha = 1 and u_n = Q from n = 1 on,
-# so the golden-ratio bound is the one that fails, at a tie.
+# (7, 12) every alpha^m is a power of two; alpha = 3 for (1, -6) and (5, 6),
+# where Q = beta*P leaves only the beta^n term, so the envelope never
+# applies, the scan steps to hi and ties go both ways; (1, 0) has alpha = 1
+# and u_n = Q from n = 1 on, so the golden-ratio bound is the one that
+# fails, at a tie, and B = 0 keeps the scan stepping.
 SQUARE_DELTA_PAIRS = [(3, 2), (7, 12), (1, -6), (5, 6), (1, 0)]
 
 
 def test_real_scan_fallback_is_reached_and_exact(monkeypatch):
-    """Scans from lo = 2 pass indices where the bounds are close, so equal
-    bit lengths reach the exact surd_sign fallback.  Its verdicts, both ways,
-    must give the first violation of the independent reference, and from the
-    branch threshold on, that of check_real_growth."""
+    """Scans from lo = 2 start where the envelope cannot yet prove the
+    bounds, so the exact per-index decision runs.  Its surd_sign verdicts,
+    both ways, must give the first violation of the independent reference,
+    and from the branch threshold on, that of check_real_growth."""
     verdicts = []
 
     def counted(x, y, d):
@@ -384,23 +387,111 @@ def test_real_scan_fallback_is_reached_and_exact(monkeypatch):
     assert verdicts.count(1) > 0 and verdicts.count(-1) > 0
 
 
-def test_power_bits_table_is_small_exact_and_cached():
-    """One small int per index (O(hi) memory, never the Lucas terms), each
-    the bit length of floor(alpha^m), behind a bounded cache."""
-    assert kernels._power_bits.cache_info().maxsize is not None
-    for a, b in [(1, -1), (3, 2), (60, -60), (60, 899)]:
-        table = kernels._power_bits(a, b, 2000)
-        assert len(table) == 2001
-        assert all(type(e) is int and 0 <= e < 2 ** 32 for e in table)
-        # 2^(e-1) <= alpha^m < 2^e, decided on exact squares
-        delta = a * a - 4 * b
-        lu, lv = iter_lucas_u(a, b, 300), iter_lucas_v(a, b, 300)
-        for m in range(301):
-            e = table[m]
-            # alpha^m >= 2^k  <=>  V_m - 2^(k+1) + U_m*sqrt(delta) >= 0
-            for k, at_least in ((e - 1, True), (e, False)):
-                x = lv[m] - 2 ** (k + 1)
-                ge = x >= 0 or x * x <= lu[m] ** 2 * delta
-                assert ge is at_least, (a, b, m)
-    assert kernels._power_bits(3, 2, 10) == tuple(range(1, 12))
-    assert kernels._power_bits(7, 12, 10) == tuple(range(1, 23, 2))
+def _sign(x, y, d):
+    """Sign of x + y*sqrt(d), d >= 0: that of x|x| + y|y|d."""
+    t = x * abs(x) + y * abs(y) * d
+    return (t > 0) - (t < 0)
+
+
+def _mul(x1, y1, x2, y2, d):
+    """(x1 + y1*sqrt(d))*(x2 + y2*sqrt(d)) as (x, y)."""
+    return x1 * x2 + y1 * y2 * d, x1 * y2 + x2 * y1
+
+
+def _envelope_times_four_root_delta(a, b, p, q, n, lu, lv):
+    """4*sqrt(delta)*l_n = 4(|Q - P*beta|*alpha^n - |Q - P*alpha|*|beta|^n)
+    as (x, y) meaning x + y*sqrt(delta), from 2(Q - P*beta) = h + P*sqrt(delta),
+    2(Q - P*alpha) = h - P*sqrt(delta), 2*alpha^n = V_n + U_n*sqrt(delta) and
+    |beta|^n = sign(B)^n * beta^n."""
+    delta, h = a * a - 4 * b, 2 * q - a * p
+    x1, y1 = _mul(h, p, lv[n], lu[n], delta)
+    x2, y2 = _mul(h, -p, lv[n], -lu[n], delta)
+    w = _sign(h, -p, delta) * ((b > 0) - (b < 0)) ** n
+    s = _sign(h, p, delta)
+    return s * x1 - w * x2, s * y1 - w * y2
+
+
+def _check_envelope(a, b, p, q, hi):
+    """For n < hi: l_n <= |u_n|, l_(n+1) >= alpha*l_n, and the kernel's
+    (y, r) with l_n = y/sqrt(r) is this l_n."""
+    delta = a * a - 4 * b
+    u = iter_terms(a, b, p, q, hi + 1)
+    lu, lv = iter_lucas_u(a, b, hi), iter_lucas_v(a, b, hi)
+    env = [_envelope_times_four_root_delta(a, b, p, q, n, lu, lv)
+           for n in range(hi + 1)]
+    for n in range(hi):
+        x, y = env[n]
+        assert _sign(-x, 4 * abs(u[n]) - y, delta) >= 0, (a, b, p, q, n)
+        # 2*(x1 + y1*sqrt(delta)) >= (A + sqrt(delta))*(x + y*sqrt(delta))
+        x1, y1 = env[n + 1]
+        assert _sign(2 * x1 - a * x - y * delta, 2 * y1 - x - a * y, delta) >= 0, \
+            (a, b, p, q, n)
+        ly, r = kernels._envelope(a, b, p, q, n, u[n], u[n + 1])
+        kx, ky = (0, 4 * ly) if r == 1 else (4 * ly, 0)
+        assert _sign(x - kx, y - ky, delta) == 0, (a, b, p, q, n)
+
+
+@settings(max_examples=200, deadline=None)
+@given(coeff_a, coeff_b, st.integers(-10 ** 6, 10 ** 6),
+       st.integers(-10 ** 6, 10 ** 6))
+@example(1, -1, 0, 1)        # Fibonacci: Lucas with B < 0, both parities
+@example(3, 2, 0, 1)         # Lucas with B > 0
+@example(5, -6, 0, 1)        # square delta, beta = -1
+@example(3, 2, 1, 1)         # Q = beta*P: l_n = -|Q - P*alpha|*|beta|^n < 0
+@example(3, 2, 1, 2)         # Q = alpha*P: l_n = |u_n|
+@example(2, 0, 3, -5)        # B = 0
+def test_lower_envelope_bounds_u_and_grows_by_alpha(a, b, p, q):
+    """The inequalities behind the growth scans' envelope test: l_n <= |u_n|,
+    where sqrt(delta)*l_n = |Q - P*beta|*alpha^n - |Q - P*alpha|*|beta|^n,
+    and l_(n+1) >= alpha*l_n, on an l_n built here from the closed form and
+    decided exactly on integers, sharing nothing with brigkit; the kernel's
+    _envelope must equal it.  The Lucas bound never fails on its domain, so
+    no scan verdict can catch a wrong Lucas envelope; this does."""
+    assume(a * a > 4 * b)
+    _check_envelope(a, b, p, q, 40)
+
+
+def test_lower_envelope_on_the_growth_box_pairs():
+    """Every real (A, B) pair and (P, Q) of the growth box; the sweep scans
+    A < 0 at |A| with Q negated, so A >= 1 covers it."""
+    for a in range(1, 13):
+        for b in range(-3, 4):
+            if a * a <= 4 * b:
+                continue
+            for p in range(-8, 9):
+                for q in range(-8, 9):
+                    _check_envelope(a, b, p, q, 12)
+            _check_envelope(a, b, 0, 1, 40)
+
+
+def test_envelope_ends_growth_box_scans_at_their_first_index(monkeypatch):
+    """On growth-box points the envelope proves every bound at the scan's
+    first index, so a scan to 10^6 makes the same surd_sign calls as one to
+    lo + 10."""
+    calls = []
+
+    def counted(x, y, d):
+        calls.append(1)
+        return real_sign(x, y, d)
+
+    def count(scan, *args):
+        calls.clear()
+        assert scan(*args) == -1, args
+        return len(calls)
+
+    real_sign = kernels.surd_sign
+    monkeypatch.setattr(kernels, "surd_sign", counted)
+    for a in range(1, 13):
+        for b in (-3, -2, -1, 1, 2, 3):
+            if a * a <= 4 * b:
+                continue
+            assert (count(kernels.lucas_growth_scan, a, b, 2, 12)
+                    == count(kernels.lucas_growth_scan, a, b, 2, 10 ** 6))
+            for p, q in product((-8, -5, -2, 1, 4, 7), repeat=2):
+                params = SequenceParams(a, b, p, q)
+                if classify(params).is_degenerate:
+                    continue
+                br = real_case_branch(params)
+                lo, far = max(br.n_min, 2), br.kind is BranchKind.FAR
+                assert (count(kernels.real_growth_scan, a, b, p, q, lo, lo + 10, far)
+                        == count(kernels.real_growth_scan, a, b, p, q, lo, 10 ** 6, far))

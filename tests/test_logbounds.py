@@ -6,9 +6,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from brigkit import logbounds
-from brigkit.logbounds import (below_log_affine, ceil_log_affine,
-                               exceeds_log_affine, floor_log_squared,
-                               ln_bounds, upper_log_loglog)
+from brigkit.logbounds import (ceil_log_affine, floor_log_squared, ln_bounds,
+                               upper_log_loglog)
 
 _DPS = 400   # ~1330 bits: past 2^512 * ln(2^4096) by hundreds of bits
 
@@ -78,10 +77,12 @@ def test_ceil_matches_float_far_from_ties(x, c, d):
 
 @given(st.integers(0, 200), st.integers(1, 10 ** 6))
 def test_strict_tests_against_float(n, x):
+    """Strict tests of an integer n against v = 5 ln x + 12 come from
+    ceilings: n < v iff n < ceil(v), and n > v iff n > floor(v) = -ceil(-v)."""
     v = 5 * math.log(x) + 12
     if abs(n - v) > 1e-6:
-        assert exceeds_log_affine(n, 5, x, 12) == (n > v)
-        assert below_log_affine(n, 5, x, 12) == (n < v)
+        assert (n > -ceil_log_affine(-5, x, -12)) == (n > v)
+        assert (n < ceil_log_affine(5, x, 12)) == (n < v)
 
 
 @given(st.integers(1, 2 ** 4096), st.integers(-10 ** 6, 10 ** 6), st.integers(1, 1000))
@@ -91,8 +92,8 @@ def test_affine_decisions_against_mpmath(x, c_num, c_den):
         v = c_num * mpmath.log(x) / c_den + 7
         n = int(mpmath.nint(v))
         assert ceil_log_affine(c, x, 7) == int(mpmath.ceil(v))
-        assert exceeds_log_affine(n, c, x, 7) == (n > v)
-        assert below_log_affine(n, c, x, 7) == (n < v)
+        assert (n > -ceil_log_affine(-c, x, -7)) == (n > v)
+        assert (n < ceil_log_affine(c, x, 7)) == (n < v)
         assert floor_log_squared(c, x) == int(mpmath.floor(c_num * mpmath.log(x) ** 2 / c_den))
 
 
@@ -145,8 +146,8 @@ def test_upper_log_loglog_is_the_exact_ceiling_at_4096_bits(x):
 
 _DECISIONS = [
     lambda: ceil_log_affine.__wrapped__(9, 6, 12),
-    lambda: exceeds_log_affine.__wrapped__(20, 5, 7, 12),
-    lambda: below_log_affine.__wrapped__(20, 5, 7, 12),
+    lambda: ceil_log_affine.__wrapped__(7, 3, 18, 3),     # scaled, as n_min
+    lambda: ceil_log_affine.__wrapped__(-5, 7, -12),      # -floor(5 ln 7 + 12)
     lambda: floor_log_squared(100, 10),
     lambda: upper_log_loglog.__wrapped__(50, 1000),
 ]

@@ -540,26 +540,30 @@ def test_zeros_sweep_report_bytes_are_pinned(jobs):
     assert digest == ZEROS_SWEEP_SHA256
 
 
-_ZEROS_SWEEP_DIGEST = """
+_PINNED_SWEEP_DIGESTS = """
 import hashlib
 from brigkit.sweep import SweepConfig, render_json, run_sweep
-cfg = SweepConfig(a_range=(-5, 5), b_range=(-5, 5), p_range=(-3, 3),
-                  q_range=(-3, 3), n_horizon=200,
-                  checks=("zeros", "zero-family"), parallelism=1)
-report, violations = run_sweep(cfg)
-print(violations, hashlib.sha256(render_json(report).encode()).hexdigest())
+for cfg in (SweepConfig(a_range=(-5, 5), b_range=(-5, 5), p_range=(-3, 3),
+                        q_range=(-3, 3), n_horizon=200,
+                        checks=("zeros", "zero-family"), parallelism=1),
+            SweepConfig(a_range=(-12, 12), b_range=(-3, 3), p_range=(-8, 8),
+                        q_range=(-8, 8), n_horizon=200,
+                        checks=("growth", "lucas", "height"), parallelism=1)):
+    report, violations = run_sweep(cfg)
+    print(violations, hashlib.sha256(render_json(report).encode()).hexdigest())
 """
 
 
 def test_zeros_sweep_report_bytes_are_pinned_under_optimized_mode():
-    """The zero checks decide nothing by `assert`: under python -O the
-    zeros-sweep box reports the same bytes and no violation."""
+    """The zero and growth checks decide nothing by `assert`: under
+    python -O the zeros-sweep and growth-sweep boxes report the same bytes
+    and no violation."""
     env = dict(os.environ)
     src = Path(__file__).resolve().parent.parent / "src"
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
-    out = subprocess.run([sys.executable, "-O", "-c", _ZEROS_SWEEP_DIGEST],
+    out = subprocess.run([sys.executable, "-O", "-c", _PINNED_SWEEP_DIGESTS],
                          env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.split() == ["0", ZEROS_SWEEP_SHA256]
+    assert out.stdout.split() == ["0", ZEROS_SWEEP_SHA256, "0", GROWTH_SWEEP_SHA256]
 
 
 # sha256 of the growth-sweep box's JSON report (the benchmark's growth-sweep
