@@ -11,13 +11,13 @@ point touches any decision.
 from .core import (DegenerateInputError, Discriminant, Kind, Reason,
                    SequenceClass, SequenceParams, classify, coeff_gcd,
                    discriminant, normalize_gcd, reduce_d)
-from .exactnum import MismatchedRadicandError, QuadElem, alpha_power
+from .exactnum import QuadElem, alpha_power
 from .growth import (BranchKind, GrowthBranch, GrowthCase, GrowthReport,
                      HeightBoundError, Margin, RatioHeight, check_lucas_growth,
                      check_nonreal_growth, check_real_growth,
                      check_sharp_growth, empirical_nonreal_threshold,
                      height_sandwich_check, nonreal_threshold_formula,
-                     ratio_height, ratio_value, real_case_branch)
+                     ratio_height, real_case_branch)
 from .terms import (TermWindow, coeffs, gcd_consecutive_U, lucas_U, lucas_uv,
                     term_fast, term_iter, term_window)
 from .zeros import (AllZero, BoundBasis, ConstructionError,

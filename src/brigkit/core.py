@@ -27,9 +27,6 @@ class SequenceParams:
     P: int
     Q: int
 
-    def discriminant(self) -> "Discriminant":
-        return discriminant(self.A, self.B)
-
     def __repr__(self):
         return f"SequenceParams(A={self.A}, B={self.B}, P={self.P}, Q={self.Q})"
 
@@ -41,12 +38,6 @@ class Discriminant:
     delta: int
     is_square: bool
     sqrt: int | None
-
-    @property
-    def sqrt_if_square(self) -> int:
-        if self.sqrt is None:
-            raise ValueError("discriminant is not a perfect square")
-        return self.sqrt
 
 
 def discriminant(A: int, B: int) -> Discriminant:

@@ -1,16 +1,16 @@
 """Exact verification of growth lower bounds on |u_n|.
 
 Real case (A^2 > 4B): the branch on how far the minor root sits from zero
-relative to |Q/P| decides which pair of lower bounds applies, each verified
-exactly: powers of the dominant root alpha go through the Lucas-pair
-representation alpha^m = (V_m + U_m*sqrt(delta))/2 and one QuadElem sign,
-and pure-surd bounds (sqrt5/2 and the golden ratio) clear denominators by
-powers of two against the Fibonacci/Lucas pair at (1, -1).  Non-real case
-(A^2 < 4B): |alpha| = sqrt(B), so the claimed |u_n| >= |alpha|^(2n/3) is the
-pure integer test |u_n|^3 >= B^n.
+relative to |Q/P| decides which pair of lower bounds applies.  Each bound is
+verified exactly as one integer margin: powers of the dominant root alpha
+and of the golden ratio phi come from alpha_power as (V_m + U_m*sqrt(d))/2,
+every denominator is cleared, and the sign of the resulting integer surd
+x + y*sqrt(d) decides the bound.  Non-real case (A^2 < 4B): |alpha| =
+sqrt(B), so the claimed |u_n| >= |alpha|^(2n/3) is the pure integer test
+|u_n|^3 >= B^n.
 
-The branch, height-bound and sandwich decisions call intutil.surd_sign
-(which also decides every QuadElem sign) directly on integers.  Every report
+Every sign of a surd here, in the margins and in the branch, height-bound
+and sandwich decisions, is one intutil.surd_sign on integers.  Every report
 carries the exact margin whose sign was tested.  Applicability thresholds
 that involve ln|Q| are rounded up with certified enclosures, so "applicable"
 is never claimed before the bound's hypothesis truly holds.
@@ -23,7 +23,6 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil
 
 from . import kernels, terms
 from .core import (DegenerateInputError, Kind, Reason, SequenceParams, classify,
@@ -88,6 +87,15 @@ def _margin(label: str, value) -> Margin:
     return Margin(label, value, sign)
 
 
+def _power_margin(label: str, x: int, power: QuadElem, c: int = 1,
+                  k: int = 1) -> Margin:
+    """The margin x - c*power/k, with power = (v + u*sqrt(d))/den, as the
+    integer surd (k*den*x - c*v - c*u*sqrt(d))/(k*den)."""
+    den = k * power.den
+    return _margin(label, QuadElem(den * x - c * power.x, -c * power.y,
+                                   power.d, den))
+
+
 def _report(n, regime, applicable, margins=(), threshold=None) -> GrowthReport:
     holds = all(m.sign >= 0 for m in margins) if applicable else None
     return GrowthReport(n, regime, applicable, holds, tuple(margins), threshold)
@@ -117,7 +125,8 @@ def real_case_branch(params: SequenceParams) -> GrowthBranch:
         return GrowthBranch(BranchKind.FAR, GrowthCase.FAR_POS, far_min)
     if surd_sign(-(a * abs_p + 6 * abs_q), abs_p, delta) >= 0:  # D - A >= 6|Q/P|
         return GrowthBranch(BranchKind.FAR, GrowthCase.FAR_NEG, far_min)
-    n_min = ceil_log_affine(7, abs_q, 18, scale=Fraction(max(abs_q, abs_p), abs_p))
+    s = Fraction(max(abs_q, abs_p), abs_p)
+    n_min = ceil_log_affine(7 * s, abs_q, 18 * s)
     if surd_sign(a * abs_p - 9 * abs_q, abs_p, delta) >= 0:     # A + D >= 9|Q/P|
         return GrowthBranch(BranchKind.NEAR, GrowthCase.NEAR_WIDE, n_min)
     return GrowthBranch(BranchKind.NEAR, GrowthCase.NEAR_TIGHT, n_min)
@@ -138,20 +147,14 @@ def check_real_growth(params: SequenceParams, n: int) -> GrowthReport:
     if n < branch.n_min:
         return _report(n, regime, False, threshold=branch.n_min)
     un = abs(terms.term_fast(params, n))
-    delta = a * a - 4 * b
     apow = alpha_power(a, b, n - 2)
     if branch.kind is BranchKind.FAR:
-        m1 = _margin("alpha-halves",
-                     QuadElem.rational(un, delta) - apow * Fraction(abs_q, 2 ** (n - 2)))
+        m1 = _power_margin("alpha-halves", un, apow, abs_q, 2 ** (n - 2))
         m2 = _margin("sqrt5-halves", un * un * 4 ** n - abs_q * abs_q * 5 ** n)
         return _report(n, regime, True, (m1, m2), branch.n_min)
-    k1 = max(5 * abs_p, 22 * abs_q)
-    k2 = max(14 * abs_p, 36 * abs_q)
-    phi_n = alpha_power(1, -1, n)
-    m1 = _margin("alpha-power",
-                 QuadElem.rational(un, delta) - apow * Fraction(1, k1))
-    m2 = _margin("golden-power",
-                 QuadElem.rational(un, 5) - phi_n * Fraction(1, k2))
+    m1 = _power_margin("alpha-power", un, apow, k=max(5 * abs_p, 22 * abs_q))
+    m2 = _power_margin("golden-power", un, alpha_power(1, -1, n),
+                       k=max(14 * abs_p, 36 * abs_q))
     return _report(n, regime, True, (m1, m2), branch.n_min)
 
 
@@ -182,30 +185,28 @@ def check_sharp_growth(params: SequenceParams, n: int) -> GrowthReport:
         return _report(n, regime, True, (m1, m2), 7)
 
     if case is GrowthCase.FAR_NEG:
-        q = Fraction(abs_q, abs_p)
         if n % 2 == 0:
             regime = "sharp-far-negative-even"
             if n < 2:
                 return _report(n, regime, False, threshold=2)
             un = abs(terms.term_fast(params, n))
-            m1 = _margin("alpha-linear",
-                         QuadElem.rational(un, delta) - alpha_power(a, b, n - 1) * abs_q)
-            m2 = _margin("golden-three-fifths",
-                         QuadElem.rational(un, 5) - alpha_power(1, -1, n) * Fraction(3 * abs_q, 5))
+            m1 = _power_margin("alpha-linear", un, alpha_power(a, b, n - 1), abs_q)
+            m2 = _power_margin("golden-three-fifths", un, alpha_power(1, -1, n),
+                               3 * abs_q, 5)
             return _report(n, regime, True, (m1, m2), 2)
         regime = "sharp-far-negative-odd"
-        n_min = ceil(6 * q + 3)
+        n_min = 3 - (-6 * abs_q // abs_p)      # ceil(6|Q/P| + 3)
         if n < n_min:
             return _report(n, regime, False, threshold=n_min)
         un = abs(terms.term_fast(params, n))
-        # n odd: D^(n-2) = delta^((n-3)/2) * sqrt(delta)
-        d_pow = QuadElem(Fraction(0),
-                         Fraction(n * a * abs_q * delta ** ((n - 3) // 2), 2 ** (n - 1)),
-                         delta)
-        m1 = _margin("half-n-a-d-halves", QuadElem.rational(un, delta) - d_pow)
-        surd = QuadElem(Fraction(0),
-                        Fraction(14 * abs_q * 5 ** ((n - 1) // 2), 5 * 2 ** n), 5)
-        m2 = _margin("sqrt5-fourteen-fifths", QuadElem.rational(un, 5) - surd)
+        # n odd: D^(n-2) = delta^((n-3)/2) * sqrt(delta), sqrt5^n likewise
+        den = 2 ** (n - 1)
+        m1 = _margin("half-n-a-d-halves",
+                     QuadElem(den * un, -n * a * abs_q * delta ** ((n - 3) // 2),
+                              delta, den))
+        den = 5 * 2 ** n
+        m2 = _margin("sqrt5-fourteen-fifths",
+                     QuadElem(den * un, -14 * abs_q * 5 ** ((n - 1) // 2), 5, den))
         return _report(n, regime, True, (m1, m2), n_min)
 
     if case is GrowthCase.NEAR_WIDE:
@@ -215,20 +216,16 @@ def check_sharp_growth(params: SequenceParams, n: int) -> GrowthReport:
         if n < t:
             return _report(n, regime, False, threshold=t)
         un = abs(terms.term_fast(params, n))
-        m1 = _margin("alpha-over-5p",
-                     QuadElem.rational(un, delta) - alpha_power(a, b, n - 2) * Fraction(1, 5 * abs_p))
-        m2 = _margin("golden-over-14p",
-                     QuadElem.rational(un, 5) - alpha_power(1, -1, n) * Fraction(1, 14 * abs_p))
+        m1 = _power_margin("alpha-over-5p", un, alpha_power(a, b, n - 2), k=5 * abs_p)
+        m2 = _power_margin("golden-over-14p", un, alpha_power(1, -1, n), k=14 * abs_p)
         return _report(n, regime, True, (m1, m2), t)
 
     regime = "sharp-near-tight"
     if n < branch.n_min:
         return _report(n, regime, False, threshold=branch.n_min)
     un = abs(terms.term_fast(params, n))
-    m1 = _margin("alpha-over-22q",
-                 QuadElem.rational(un, delta) - alpha_power(a, b, n - 1) * Fraction(1, 22 * abs_q))
-    m2 = _margin("golden-over-36q",
-                 QuadElem.rational(un, 5) - alpha_power(1, -1, n) * Fraction(1, 36 * abs_q))
+    m1 = _power_margin("alpha-over-22q", un, alpha_power(a, b, n - 1), k=22 * abs_q)
+    m2 = _power_margin("golden-over-36q", un, alpha_power(1, -1, n), k=36 * abs_q)
     return _report(n, regime, True, (m1, m2), branch.n_min)
 
 
@@ -295,13 +292,12 @@ def check_lucas_growth(A: int, B: int, n: int,
         raise DegenerateInputError(f"Lucas growth check got {cls.label()}")
     a = abs(A)
     un = abs(terms.lucas_U(a, B, n))
-    delta = a * a - 4 * B
     if cls.kind is Kind.REAL:
         if B < 0:
-            value = QuadElem.rational(2 * un, delta) - alpha_power(a, B, n - 2)
-            return _report(n, "lucas-negative-b", True, (_margin("double-u", value),), 2)
-        value = QuadElem.rational(un, delta) - alpha_power(a, B, n - 1)
-        return _report(n, "lucas-positive-b", True, (_margin("u-alpha", value),), 2)
+            margin = _power_margin("double-u", 2 * un, alpha_power(a, B, n - 2))
+            return _report(n, "lucas-negative-b", True, (margin,), 2)
+        margin = _power_margin("u-alpha", un, alpha_power(a, B, n - 1))
+        return _report(n, "lucas-positive-b", True, (margin,), 2)
     if c_nonreal is None:
         raise DegenerateInputError(
             "non-real Lucas bound needs an explicit constant (c_nonreal)")
@@ -392,24 +388,6 @@ def _height_bound_ok(a1: int, B: int, P: int, Q: int, h: int) -> bool:
     x = 2 * abs(Q) + abs(P) * a1
     y = abs(P)
     return surd_sign(x * x + y * y * abs_delta - 2 - 2 * h, 2 * x * y, abs_delta) >= 0
-
-
-def ratio_value(params: SequenceParams) -> QuadElem:
-    """b/a as an exact element of Q(sqrt(delta)), A sign-normalized.
-
-    Only defined in the real case; requires a*b != 0.
-    """
-    _require_coeffs_nonzero(params)
-    a1 = abs(params.A)
-    B, P, Q = params.B, params.P, params.Q
-    if params.A < 0:
-        Q = -Q  # same flip as ratio_height
-    delta = a1 * a1 - 4 * B
-    if delta < 0:
-        raise DegenerateInputError("ratio_value needs the real case")
-    num = QuadElem(Fraction(2 * Q - P * a1, 2), Fraction(-P, 2), delta)  # Q - P*alpha
-    den = num.conjugate()                                                # Q - P*beta
-    return num / den
 
 
 def _quadratic_sandwich(x: int, y: int, delta: int, h1: int) -> bool:

@@ -46,12 +46,10 @@ def valuation(n: int, p: int) -> int:
     return v
 
 
+# Trial divisors, and the Miller-Rabin bases: deterministic below 3.3 * 10^24;
+# above that the same bases give a strong probable-prime test, which is ample
+# for the gcd-support sizes this module sees.
 _SMALL_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37]
-
-# Deterministic Miller-Rabin witness set, valid below 3.3 * 10^24; above that
-# the same bases give a strong probable-prime test, which is ample for the
-# gcd-support sizes this module sees.
-_MR_BASES = _SMALL_PRIMES
 
 
 def is_probable_prime(n: int) -> bool:
@@ -67,7 +65,7 @@ def is_probable_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         r += 1
-    for a in _MR_BASES:
+    for a in _SMALL_PRIMES:
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue

@@ -117,13 +117,10 @@ def _same(f):
 
 
 @lru_cache(maxsize=65536)
-def ceil_log_affine(coeff, x: int, offset, scale=1) -> int:
-    """Exact ceil(scale * (coeff*ln(x) + offset)) for integer x >= 1.
-
-    coeff, offset, scale are rationals with scale > 0.
-    """
-    scale = Fraction(scale)
-    enclose = _affine_enclosure(scale * Fraction(coeff), x, scale * Fraction(offset))
+def ceil_log_affine(coeff, x: int, offset) -> int:
+    """Exact ceil(coeff*ln(x) + offset) for integer x >= 1 and rationals
+    coeff, offset."""
+    enclose = _affine_enclosure(Fraction(coeff), x, Fraction(offset))
     return _refine(enclose, _same(ceil))
 
 

@@ -122,9 +122,6 @@ def test_discriminant():
     assert (d.delta, d.is_square, d.sqrt) == (1, True, 1)
     d = discriminant(1, -1)
     assert (d.delta, d.is_square, d.sqrt) == (5, False, None)
-    assert discriminant(2, 1).sqrt_if_square == 0
-    with pytest.raises(ValueError):
-        discriminant(1, 1).sqrt_if_square
 
 
 @settings(max_examples=200)

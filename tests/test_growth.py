@@ -12,7 +12,7 @@ from brigkit.growth import (BranchKind, GrowthCase, check_lucas_growth,
                             check_nonreal_growth, check_real_growth,
                             check_sharp_growth, empirical_nonreal_threshold,
                             height_sandwich_check, nonreal_threshold_formula,
-                            ratio_height, ratio_value, real_case_branch)
+                            ratio_height, real_case_branch)
 
 from conftest import interval_sign, iter_terms
 
@@ -273,13 +273,41 @@ def test_ratio_height_rejects_degenerate():
             ratio_height(params)
 
 
+def _ratio(params):
+    """b/a as (r, s, e, delta), meaning (r + s*sqrt(delta))/e with e > 0.
+
+    With A sign-normalized and x = 2Q - P*A, b/a = (Q - P*alpha)/(Q - P*beta)
+    = (x - P*sqrt(delta))/(x + P*sqrt(delta)); multiplying through by
+    x - P*sqrt(delta) clears the surd from the denominator."""
+    a1, p = abs(params.A), params.P
+    q = -params.Q if params.A < 0 else params.Q
+    delta = a1 * a1 - 4 * params.B
+    x = 2 * q - p * a1
+    r, s, e = x * x + p * p * delta, -2 * x * p, x * x - p * p * delta
+    return (r, s, e, delta) if e > 0 else (-r, -s, -e, delta)
+
+
 def test_ratio_value_matches_polynomial():
-    params = SequenceParams(1, -1, 1, 1)
-    g = ratio_value(params)
-    c0, c1, c2 = ratio_height(params).coeffs
-    # plug the exact root back into the polynomial
-    value = (g * g) * c2 + g * c1 + c0
-    assert value.sign() == 0 and value.r == 0 and value.s == 0
+    """b/a, built here from its closed form, is a root of ratio_height's
+    quadratic: for g = (r + s*sqrt(delta))/e, both the rational and the
+    sqrt(delta) part of e^2*(c2*g^2 + c1*g + c0) vanish."""
+    roots = 0
+    for a in range(-6, 7):
+        for b in range(-6, 7):
+            for p, q in [(1, 1), (2, -3), (-1, 4), (3, 5)]:
+                params = SequenceParams(a, b, p, q)
+                cls = classify(params)
+                if cls.is_degenerate or cls.kind is not Kind.REAL:
+                    continue
+                rh = ratio_height(params)
+                if rh.linear:
+                    continue
+                c0, c1, c2 = rh.coeffs
+                r, s, e, delta = _ratio(params)
+                assert c2 * (r * r + s * s * delta) + c1 * e * r + c0 * e * e == 0
+                assert 2 * c2 * r * s + c1 * e * s == 0
+                roots += 1
+    assert roots > 50
 
 
 def test_sandwich_examples():
@@ -308,18 +336,20 @@ def test_sandwich_and_bound_sweep():
 def test_sandwich_against_interval_oracle():
     for params in [SequenceParams(1, -1, 1, 1), SequenceParams(5, 3, 2, -7),
                    SequenceParams(9, -4, 3, 1)]:
-        g = ratio_value(params)
-        s = interval_sign(g.r, g.s, g.delta)
-        assert s is not None and s == g.sign()
+        r, s, e, delta = _ratio(params)
+        sg = interval_sign(Fraction(r, e), Fraction(s, e), delta)
+        assert sg in (-1, 1)
+        r, s = sg * r, sg * s                      # |b/a| = (r + s*sqrt(delta))/e
         h1 = ratio_height(params).height + 1
-        ag = abs(g)
-        assert float(Fraction(1, h1)) < float(ag.r) + float(ag.s) * (ag.delta ** 0.5) < h1
+        assert interval_sign(h1 * r - e, h1 * s, delta) == 1       # h1|b/a| > 1
+        assert interval_sign(h1 * e - r, -s, delta) == 1           # |b/a| < h1
+        assert float(Fraction(1, h1)) < (r + s * delta ** 0.5) / e < h1
+        assert height_sandwich_check(params)
 
 
 def test_margin_certificates_against_interval_oracle():
     """Every margin re-evaluates to the reported sign under >256-bit
     directed-rounding interval arithmetic."""
-    from brigkit.exactnum import QuadElem
     reports = [check_real_growth(SequenceParams(7, 12, 1, 1), 15),
                check_real_growth(SequenceParams(3, 2, 1, 3), 90),
                check_real_growth(SequenceParams(3, -100, 1, 1), 14),
@@ -330,8 +360,10 @@ def test_margin_certificates_against_interval_oracle():
     for rep in reports:
         assert rep.applicable
         for m in rep.margins:
-            if isinstance(m.value, QuadElem):
-                s = interval_sign(m.value.r, m.value.s, m.value.delta)
+            if isinstance(m.value, brigkit.QuadElem):
+                v = m.value
+                assert v.den > 0
+                s = interval_sign(Fraction(v.x, v.den), Fraction(v.y, v.den), v.d)
                 assert s is not None and s == m.sign
             else:
                 assert ((m.value > 0) - (m.value < 0)) == m.sign
@@ -456,21 +488,21 @@ def test_quadratic_sandwich_against_interval_oracle():
                     continue
                 if ratio_height(params).linear:
                     continue
-                g = ratio_value(params)
-                sg = interval_sign(g.r, g.s, g.delta)
+                r, s, e, delta = _ratio(params)
+                sg = interval_sign(Fraction(r, e), Fraction(s, e), delta)
                 assert sg in (-1, 1)
                 neg += sg < 0
-                r, s = sg * g.r, sg * g.s                  # |b/a| = r + s*sqrt(delta)
-                approx = float(r) + float(s) * g.delta ** 0.5
+                r, s = sg * r, sg * s                  # |b/a| = (r + s*sqrt(delta))/e
+                approx = (r + s * delta ** 0.5) / e
                 a1 = abs(a)
                 x, y = 2 * (q if a >= 0 else -q) - p * a1, p
                 for v in (approx, 1 / approx):
                     for h1 in range(max(1, int(v) - 1), int(v) + 3):
-                        lower = interval_sign(h1 * r - 1, h1 * s, g.delta)   # h1|g| - 1
-                        upper = interval_sign(h1 - r, -s, g.delta)           # h1 - |g|
+                        lower = interval_sign(h1 * r - e, h1 * s, delta)   # e(h1|g| - 1)
+                        upper = interval_sign(h1 * e - r, -s, delta)       # e(h1 - |g|)
                         assert lower in (-1, 1) and upper in (-1, 1)
                         want = lower > 0 and upper > 0
-                        assert _quadratic_sandwich(x, y, g.delta, h1) == want, (params, h1)
+                        assert _quadratic_sandwich(x, y, delta, h1) == want, (params, h1)
                         outcomes.add((want, sg))
     assert outcomes == {(True, 1), (False, 1), (True, -1), (False, -1)}
     assert neg > 0

@@ -2,8 +2,10 @@
 scan against plain iteration, scan-vs-checker cross-validation, and the
 growth scans' lower envelope against an exact reference.
 
-The integer-only scan kernels must agree with the QuadElem-based per-index
-checkers (two independent routes to the same verdicts).
+The integer-only scan kernels must agree with the per-index checkers of
+brigkit.growth, which build each margin as its own integer surd, and with
+test-local referees that share no code with brigkit: exact squares in
+_first_violation, and decimal intervals in the forced-branch scans.
 """
 
 from itertools import product
@@ -17,7 +19,7 @@ from brigkit.growth import (BranchKind, check_lucas_growth,
                             check_nonreal_growth, check_real_growth,
                             real_case_branch)
 from brigkit.intutil import surd_sign
-from conftest import iter_lucas_u, iter_lucas_v, iter_terms
+from conftest import interval_sign, iter_lucas_u, iter_lucas_v, iter_terms
 
 small = st.integers(-10, 10)
 coeff_a = st.integers(1, 60)
@@ -214,7 +216,7 @@ def test_screen_tables_are_keyed_on_the_prime(monkeypatch):
 @example(12, 3, 100, -1, 200)            # far branch, A - D < 1
 @example(60, 1, 999_999, -1, 200)        # far branch, alpha ~ 60
 def test_scan_agrees_with_per_index_checker_real(a, b, p, q, hi):
-    """Dual route: integer scan kernel vs QuadElem margin checker."""
+    """Dual route: integer scan kernel vs per-index margin checker."""
     params = SequenceParams(a, b, p, q)
     assume(classify(params).kind is Kind.REAL)
     br = real_case_branch(params)
@@ -385,6 +387,79 @@ def test_real_scan_fallback_is_reached_and_exact(monkeypatch):
                                                  br.kind is BranchKind.FAR)
                         == (per_index[0] if per_index else -1)), (a, b, p, q)
     assert verdicts.count(1) > 0 and verdicts.count(-1) > 0
+
+
+def _decimal_sign(x, y, d):
+    """Sign of x + y*sqrt(d) by conftest.interval_sign, widening the decimal
+    precision until the interval decides.  Past the digits of x and y*y*d
+    every operation but the square root is exact, so a tie (possible only
+    for square d or y = 0) comes out as 0."""
+    prec = len(str(abs(x) + y * y * d)) + 30
+    while True:
+        sign = interval_sign(x, y, d, prec)
+        if sign is not None:
+            return sign
+        assert prec < 20_000, (x, y, d)
+        prec *= 2
+
+
+def _first_violation_by_intervals(a, b, p, q, hi, far):
+    """First n in [2, hi] where a bound of the real scan's branch fails, or
+    -1: each bound evaluated at its own index by decimal intervals on the
+    plain recurrence and Lucas sequences.  With alpha^m = (V_m +
+    U_m*sqrt(delta))/2 and phi^n = (L_n + F_n*sqrt5)/2:
+      far:  2^(n-2)|u_n| >= |Q|*alpha^(n-2),  2^n|u_n| >= |Q|*sqrt5^n
+      near: k1*|u_n| >= alpha^(n-2),           k2*|u_n| >= phi^n
+    with k1 = max(5|P|, 22|Q|) and k2 = max(14|P|, 36|Q|)."""
+    delta = a * a - 4 * b
+    u = iter_terms(a, b, p, q, hi)
+    lu, lv = iter_lucas_u(a, b, hi), iter_lucas_v(a, b, hi)
+    fu, fv = iter_lucas_u(1, -1, hi), iter_lucas_v(1, -1, hi)
+    absq = abs(q)
+    k1 = max(5 * abs(p), 22 * absq)
+    k2 = max(14 * abs(p), 36 * absq)
+    for n in range(2, hi + 1):
+        x = abs(u[n])
+        if far:
+            signs = (_decimal_sign(2 ** (n - 1) * x - absq * lv[n - 2],
+                                   -absq * lu[n - 2], delta),
+                     _decimal_sign(2 ** n * x, -absq * 5 ** (n // 2), 5) if n % 2
+                     else _decimal_sign(2 ** n * x - absq * 5 ** (n // 2), 0, 5))
+        else:
+            signs = (_decimal_sign(2 * k1 * x - lv[n - 2], -lu[n - 2], delta),
+                     _decimal_sign(2 * k2 * x - fv[n], -fu[n], 5))
+        if min(signs) < 0:
+            return n
+    return -1
+
+
+@st.composite
+def forced_branch_scans(draw):
+    # small A with B << 0 and small P, Q are where an over-claiming
+    # envelope is most often caught
+    a = draw(st.one_of(st.integers(1, 4), st.integers(1, 40)))
+    b = draw(st.integers(-60, (a * a - 1) // 4))
+    pq = st.one_of(st.integers(-12, 12).filter(bool), initial)
+    return a, b, draw(pq), draw(pq), draw(st.integers(2, 60))
+
+
+@settings(max_examples=200, deadline=None)
+@given(forced_branch_scans())
+@example((1, -12, -6, 5, 40))    # square delta, alpha = 4, beta = -3: the far
+                                 # bound fails at n = 3 (|u_3| = 7 < 10)
+@example((1, -6, 1, 1, 40))      # square delta, alpha = 3, beta = -2
+@example((3, -4, 2, -5, 40))     # square delta, alpha = 4, beta = -1
+@example((1, 0, 1, 1, 30))       # B = 0: alpha = 1, u_n = Q from n = 1
+@example((2, 0, 3, -5, 30))      # B = 0: u_n = 2^(n-1)*Q
+@example((5, 0, -1, 4, 30))
+def test_forced_branch_scan_from_two_matches_interval_referee(case):
+    """Both branches' bounds scanned from lo = 2, where most of them still
+    fail and an envelope that claims too much returns -1 too early.  The
+    referee shares no code with brigkit."""
+    a, b, p, q, hi = case
+    for far in (False, True):
+        assert (kernels.real_growth_scan(a, b, p, q, 2, hi, far)
+                == _first_violation_by_intervals(a, b, p, q, hi, far)), far
 
 
 def _sign(x, y, d):

@@ -146,7 +146,7 @@ def test_upper_log_loglog_is_the_exact_ceiling_at_4096_bits(x):
 
 _DECISIONS = [
     lambda: ceil_log_affine.__wrapped__(9, 6, 12),
-    lambda: ceil_log_affine.__wrapped__(7, 3, 18, 3),     # scaled, as n_min
+    lambda: ceil_log_affine.__wrapped__(21, 3, 54),       # 3*(7 ln 3 + 18), as n_min
     lambda: ceil_log_affine.__wrapped__(-5, 7, -12),      # -floor(5 ln 7 + 12)
     lambda: floor_log_squared(100, 10),
     lambda: upper_log_loglog.__wrapped__(50, 1000),
@@ -170,7 +170,9 @@ def test_cap_below_start_raises(monkeypatch, decision):
 
 
 def test_scaled_ceiling():
+    # real_case_branch's n_min is ceil(s*(7 ln|Q| + 18)) for s = max(1, |Q/P|),
+    # passed as the coefficients 7s and 18s.
     # (18 + 7*ln 3) * 3 = 77.07... -> 78
-    assert ceil_log_affine(7, 3, 18, scale=3) == 78
-    # |Q| = 1 with scale: exact integer value
-    assert ceil_log_affine(7, 1, 18, scale=Fraction(5, 2)) == 45
+    assert ceil_log_affine(21, 3, 54) == 78
+    # |Q| = 1 with s = 5/2: exact integer value
+    assert ceil_log_affine(Fraction(35, 2), 1, 45) == 45

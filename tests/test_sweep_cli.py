@@ -297,6 +297,113 @@ def test_cli_growth_lucas_default_constant(capsys):
     assert "degenerate" in capsys.readouterr().err
 
 
+# `brigkit growth --json` output for one point of every regime, recorded
+# before the margins moved from rational field arithmetic to integer surds:
+# the verdicts, thresholds, labels and signs are fixed by the mathematics,
+# not by how the margins are computed.
+GROWTH_CLI_PINS = [
+    # real-far
+    (('real', 3, -100, 1, 1, 14),
+     '{"n": "14", "regime": "real-far", "applicable": true, "bound_holds": true, '
+     '"threshold": "12", "margins": [{"label": "alpha-halves", "sign": "1"}, '
+     '{"label": "sqrt5-halves", "sign": "1"}]}'),
+    # real-near
+    (('real', 3, 2, 1, 3, 90),
+     '{"n": "90", "regime": "real-near", "applicable": true, "bound_holds": true, '
+     '"threshold": "78", "margins": [{"label": "alpha-power", "sign": "1"}, '
+     '{"label": "golden-power", "sign": "1"}]}'),
+    # real-near, below its threshold
+    (('real', 3, 2, 1, 3, 50),
+     '{"n": "50", "regime": "real-near", "applicable": false, "bound_holds": null, '
+     '"threshold": "78", "margins": []}'),
+    # real-far, A < 0
+    (('real', -9, -9, -5, -1, 8),
+     '{"n": "8", "regime": "real-far", "applicable": true, "bound_holds": true, '
+     '"threshold": "8", "margins": [{"label": "alpha-halves", "sign": "1"}, '
+     '{"label": "sqrt5-halves", "sign": "1"}]}'),
+    # sharp-far-positive
+    (('sharp', 7, 12, 1, 1, 15),
+     '{"n": "15", "regime": "sharp-far-positive", "applicable": true, "bound_holds": true, '
+     '"threshold": "7", "margins": [{"label": "eleven-a-halves", "sign": "1"}, '
+     '{"label": "seven-three-halves", "sign": "1"}]}'),
+    # sharp-far-positive, below its threshold
+    (('sharp', 7, 12, 1, 1, 5),
+     '{"n": "5", "regime": "sharp-far-positive", "applicable": false, "bound_holds": null, '
+     '"threshold": "7", "margins": []}'),
+    # sharp-far-negative-even
+    (('sharp', 3, -100, 1, 1, 14),
+     '{"n": "14", "regime": "sharp-far-negative-even", "applicable": true, '
+     '"bound_holds": true, "threshold": "2", "margins": [{"label": "alpha-linear", '
+     '"sign": "1"}, {"label": "golden-three-fifths", "sign": "1"}]}'),
+    # sharp-far-negative-odd
+    (('sharp', 3, -100, 1, 1, 15),
+     '{"n": "15", "regime": "sharp-far-negative-odd", "applicable": true, '
+     '"bound_holds": true, "threshold": "9", "margins": [{"label": "half-n-a-d-halves", '
+     '"sign": "1"}, {"label": "sqrt5-fourteen-fifths", "sign": "1"}]}'),
+    # sharp-far-negative-odd, square delta
+    (('sharp', 3, -4, 3, 1, 15),
+     '{"n": "15", "regime": "sharp-far-negative-odd", "applicable": true, '
+     '"bound_holds": true, "threshold": "5", "margins": [{"label": "half-n-a-d-halves", '
+     '"sign": "1"}, {"label": "sqrt5-fourteen-fifths", "sign": "1"}]}'),
+    # sharp-near-wide
+    (('sharp', 10, 1, 1, 1, 20),
+     '{"n": "20", "regime": "sharp-near-wide", "applicable": true, "bound_holds": true, '
+     '"threshold": "13", "margins": [{"label": "alpha-over-5p", "sign": "1"}, '
+     '{"label": "golden-over-14p", "sign": "1"}]}'),
+    # sharp-near-tight, A < 0
+    (('sharp', -8, 9, -2, -3, 40),
+     '{"n": "40", "regime": "sharp-near-tight", "applicable": true, "bound_holds": true, '
+     '"threshold": "39", "margins": [{"label": "alpha-over-22q", "sign": "1"}, '
+     '{"label": "golden-over-36q", "sign": "1"}]}'),
+    # lucas-negative-b
+    (('lucas', 1, -1, 0, 1, 10),
+     '{"n": "10", "regime": "lucas-negative-b", "applicable": true, "bound_holds": true, '
+     '"threshold": "2", "margins": [{"label": "double-u", "sign": "1"}]}'),
+    # lucas-positive-b, alpha = 2
+    (('lucas', 3, 2, 0, 1, 12),
+     '{"n": "12", "regime": "lucas-positive-b", "applicable": true, "bound_holds": true, '
+     '"threshold": "2", "margins": [{"label": "u-alpha", "sign": "1"}]}'),
+    # lucas-positive-b, A < 0
+    (('lucas', -5, 3, 0, 1, 9),
+     '{"n": "9", "regime": "lucas-positive-b", "applicable": true, "bound_holds": true, '
+     '"threshold": "2", "margins": [{"label": "u-alpha", "sign": "1"}]}'),
+    # lucas-nonreal
+    (('lucas', 1, 2, 0, 1, 10),
+     '{"n": "10", "regime": "lucas-nonreal", "applicable": true, "bound_holds": true, '
+     '"threshold": null, "margins": [{"label": "u-squared", "sign": "1"}]}'),
+    # nonreal, failing margins
+    (('nonreal', 1, 2, 1, 1, 7),
+     '{"n": "7", "regime": "nonreal", "applicable": true, "bound_holds": false, '
+     '"threshold": null, "margins": [{"label": "cube-vs-b-power", "sign": "-1"}, '
+     '{"label": "five-fourths", "sign": "-1"}], "empirical_threshold": "26", '
+     '"formula_threshold": "1"}'),
+]
+
+
+def _growth_argv(check, a, b, p, q, n):
+    return ["growth", "--a", str(a), "--b", str(b), "--p", str(p), "--q", str(q),
+            "--n", str(n), "--check", check, "--json"]
+
+
+@pytest.mark.parametrize("row, want", GROWTH_CLI_PINS,
+                         ids=[",".join(map(str, row)) for row, _ in GROWTH_CLI_PINS])
+def test_cli_growth_output_is_pinned(capsys, row, want):
+    assert main(_growth_argv(*row)) == 0
+    assert capsys.readouterr().out == want + "\n"
+
+
+def test_cli_growth_output_is_pinned_under_optimized_mode():
+    """A margin built from integer surds decides the same under python -O."""
+    row, want = next(pin for pin in GROWTH_CLI_PINS
+                     if pin[0] == ("sharp", 3, -4, 3, 1, 15))
+    env = dict(os.environ)
+    src = Path(__file__).resolve().parent.parent / "src"
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-O", "-m", "brigkit.cli", *_growth_argv(*row)],
+                         env=env, capture_output=True, text=True, check=True)
+    assert out.stdout == want + "\n"
+
+
 def test_cli_degenerate_growth_errors(capsys):
     assert main(["growth", "--a", "3", "--b", "2", "--p", "1", "--q", "1",
                  "--n", "30", "--check", "real"]) == 1

@@ -301,3 +301,45 @@ def test_user_override_bound():
     assert find_zero(SequenceParams(3, 6, 5, 6), override=10) == ZeroAt(5)
     with pytest.raises(ValueError):
         zero_search_bound(params, override=0)
+
+
+# (A, B) with d > 1, where d is the largest integer with d | A and d^2 | B.
+SQUARE_COFACTOR_PAIRS = [(6, -9, 3), (10, -50, 5), (12, -144, 12), (6, 27, 3)]
+
+
+def test_a_smaller_square_cofactor_only_widens_the_search(monkeypatch):
+    """If square_cofactor returned a proper divisor d' of the true d (as a
+    strong pseudoprime taken for a prime could make it do), the bound would
+    be computed on (A/d', B/d'^2, d'P, Q).  gcd(d'P, Q) divides gcd(dP, Q),
+    so the normalized |Q| can only grow, the search bound with it, and a
+    conclusive NoZero stays sound.  Checked with d' = 1 and with every
+    proper divisor of 12."""
+    from brigkit import core
+    cases = [(a, b, *construct_zero_at(a, b, k))
+             for a, b, _ in SQUARE_COFACTOR_PAIRS for k in range(2, 11)]
+    cases.append((6, -9, 1, 3))                   # no zero: n_max 12 -> 22
+    want = {}
+    for case in cases:
+        params = SequenceParams(*case)
+        want[case] = zero_search_bound(params).n_max, find_zero(params)
+    assert want[(6, -9, 1, 3)] == (12, NoZero(12, conclusive=True))
+    widened = 0
+    for a, b, d in SQUARE_COFACTOR_PAIRS:
+        for fake in [f for f in range(1, d) if d % f == 0]:
+            monkeypatch.setattr(core, "square_cofactor", lambda x, y, f=fake: f)
+            for case in [c for c in cases if c[:2] == (a, b)]:
+                params = SequenceParams(*case)
+                n_max, result = want[case]
+                got = zero_search_bound(params).n_max
+                assert got >= n_max, (case, fake)
+                widened += got > n_max
+                found = find_zero(params)
+                assert type(found) is type(result), (case, fake)
+                if isinstance(result, ZeroAt):
+                    assert found.k == result.k
+                else:
+                    assert found.conclusive == result.conclusive
+            monkeypatch.undo()
+    assert widened > 0
+    monkeypatch.setattr(core, "square_cofactor", lambda x, y: 1)
+    assert zero_search_bound(SequenceParams(6, -9, 1, 3)).n_max == 22
