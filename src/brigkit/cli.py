@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -259,13 +260,21 @@ def cmd_sweep(args) -> int:
             if not isinstance(data, dict):
                 raise SweepConfigError("the config file must hold a JSON object")
         cfg = config_from_dict({**data, **flags})
+        # a missing directory fails now, not after the whole sweep
+        out_dir = os.path.dirname(cfg.output_path or "") or "."
+        if not os.path.isdir(out_dir):
+            raise SweepConfigError(f"output directory {out_dir} does not exist")
     except (SweepConfigError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
     report, violations = run_sweep(cfg)
     if cfg.output_path:
-        write_report(report, cfg.output_path, cfg.format)
+        try:
+            write_report(report, cfg.output_path, cfg.format)
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
         print(f"wrote {cfg.output_path}: {report['summary']['records']} records, "
               f"{violations} violations")
     else:

@@ -118,17 +118,19 @@ def classify(params: SequenceParams) -> SequenceClass:
         return SequenceClass(Kind.DEGENERATE, Reason.ROOT_OF_UNITY_RATIO, ratio_period=6)
     if a2 == 2 * B:
         return SequenceClass(Kind.DEGENERATE, Reason.ROOT_OF_UNITY_RATIO, ratio_period=4)
-    disc = discriminant(A, B)
-    if disc.delta > 0 and disc.is_square:
+    delta = a2 - 4 * B
+    if delta < 0:
+        return NONREAL
+    d = isqrt(delta)
+    if d * d == delta:
         # integer roots: a coefficient in u_n = a*alpha^n - b*beta^n can vanish
-        d = disc.sqrt
         r1, r2 = (A + d) // 2, (A - d) // 2
         dominant, minor = (r1, r2) if abs(r1) >= abs(r2) else (r2, r1)
         if Q == P * dominant:
             return SequenceClass(Kind.DEGENERATE, Reason.SECONDARY_COEFF_ZERO)
         if Q == P * minor:
             return SequenceClass(Kind.DEGENERATE, Reason.LEADING_COEFF_ZERO)
-    return REAL if disc.delta > 0 else NONREAL
+    return REAL
 
 
 def reduce_d(params: SequenceParams) -> tuple[SequenceParams, int]:

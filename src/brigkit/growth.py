@@ -23,10 +23,12 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from math import gcd, isqrt
 
 from . import kernels, terms
-from .core import (DegenerateInputError, Kind, Reason, SequenceParams, classify,
-                   discriminant)
+from .core import (DegenerateInputError, Kind, Reason, SequenceClass,
+                   SequenceParams, classify)
 from .exactnum import QuadElem, alpha_power
 from .intutil import surd_sign
 from .logbounds import ceil_log_affine, floor_log_squared, upper_log_loglog
@@ -125,11 +127,23 @@ def real_case_branch(params: SequenceParams) -> GrowthBranch:
         return GrowthBranch(BranchKind.FAR, GrowthCase.FAR_POS, far_min)
     if surd_sign(-(a * abs_p + 6 * abs_q), abs_p, delta) >= 0:  # D - A >= 6|Q/P|
         return GrowthBranch(BranchKind.FAR, GrowthCase.FAR_NEG, far_min)
-    s = Fraction(max(abs_q, abs_p), abs_p)
-    n_min = ceil_log_affine(7 * s, abs_q, 18 * s)
+    n_min = _near_threshold(abs_p, abs_q)
     if surd_sign(a * abs_p - 9 * abs_q, abs_p, delta) >= 0:     # A + D >= 9|Q/P|
         return GrowthBranch(BranchKind.NEAR, GrowthCase.NEAR_WIDE, n_min)
     return GrowthBranch(BranchKind.NEAR, GrowthCase.NEAR_TIGHT, n_min)
+
+
+@lru_cache(maxsize=65536)
+def _near_threshold(abs_p: int, abs_q: int) -> int:
+    """ceil((18 + 7*ln|Q|) * max(1, |Q/P|)), cached on the two integers: a
+    sweep asks for the same few (|P|, |Q|) at every (A, B), and a key of
+    ints hashes far faster than one of Fractions.  The factor stays the
+    reduced s = max(1, |Q/P|): the integer form
+    ceil(ceil(7m*ln|Q| + 18m)/|P|), m = max(|P|, |Q|), is exact too, but it
+    encloses a value |P| times larger, so it needs log2|P| more bits of
+    ln|Q| and cannot decide at all once that passes MAX_PREC."""
+    s = Fraction(max(abs_q, abs_p), abs_p)
+    return ceil_log_affine(7 * s, abs_q, 18 * s)
 
 
 def check_real_growth(params: SequenceParams, n: int) -> GrowthReport:
@@ -323,24 +337,9 @@ class RatioHeight:
     linear: bool
 
 
-def _primitive(coeffs: list[int]) -> tuple[int, ...]:
-    from math import gcd
-    g = 0
-    for c in coeffs:
-        g = gcd(g, c)
-    out = [c // g for c in coeffs]
-    if out[-1] < 0:
-        out = [-c for c in out]
-    return tuple(out)
-
-
-def _require_coeffs_nonzero(params: SequenceParams) -> None:
-    cls = classify(params)
-    if cls.reason in (Reason.BOTH_INITIAL_ZERO, Reason.B_ZERO,
-                      Reason.EQUAL_ROOTS, Reason.LEADING_COEFF_ZERO,
-                      Reason.SECONDARY_COEFF_ZERO):
-        raise DegenerateInputError(
-            f"ratio b/a undefined or zero for {cls.label()}")
+# the degenerate classes whose closed form has a zero coefficient or none
+_NO_RATIO = (Reason.BOTH_INITIAL_ZERO, Reason.B_ZERO, Reason.EQUAL_ROOTS,
+             Reason.LEADING_COEFF_ZERO, Reason.SECONDARY_COEFF_ZERO)
 
 
 def ratio_height(params: SequenceParams) -> RatioHeight:
@@ -356,27 +355,36 @@ def ratio_height(params: SequenceParams) -> RatioHeight:
     height past it raises HeightBoundError (an explicit check, so it holds
     under python -O too).
     """
-    _require_coeffs_nonzero(params)
+    return _ratio_height(params, classify(params))
+
+
+def _ratio_height(params: SequenceParams, cls: SequenceClass) -> RatioHeight:
+    """ratio_height, given classify(params)."""
+    if cls.reason in _NO_RATIO:
+        raise DegenerateInputError(
+            f"ratio b/a undefined or zero for {cls.label()}")
     a1 = abs(params.A)
     B, P, Q = params.B, params.P, params.Q
     if params.A < 0:
         Q = -Q  # (A,B,P,Q) -> (-A,B,P,-Q) maps u_n to (-1)^n u_n
-    disc = discriminant(a1, B)
+    delta = a1 * a1 - 4 * B
+    d = isqrt(delta) if delta > 0 else 0
     if P == 0:
         rh = RatioHeight((-1, 1), 1, True)
-    elif disc.is_square:
-        d = disc.sqrt
+    elif d * d == delta:
         c1 = P * a1 - P * d - 2 * Q
         c0 = -(P * a1 + P * d - 2 * Q)
-        coeffs = _primitive([c0, c1])
-        rh = RatioHeight(coeffs, max(abs(c) for c in coeffs), True)
+        g = -gcd(c0, c1) if c1 < 0 else gcd(c0, c1)
+        c0, c1 = c0 // g, c1 // g
+        rh = RatioHeight((c0, c1), max(abs(c0), c1), True)
     elif 2 * Q == P * a1:
         rh = RatioHeight((1, 1), 1, True)
     else:
         n_coef = Q * Q - P * Q * a1 + B * P * P
         m_coef = -(2 * Q * Q - 2 * P * Q * a1 + P * P * (a1 * a1 - 2 * B))
-        coeffs = _primitive([n_coef, m_coef, n_coef])
-        rh = RatioHeight(coeffs, max(abs(c) for c in coeffs), False)
+        g = -gcd(n_coef, m_coef) if n_coef < 0 else gcd(n_coef, m_coef)
+        n_coef, m_coef = n_coef // g, m_coef // g
+        rh = RatioHeight((n_coef, m_coef, n_coef), max(n_coef, abs(m_coef)), False)
     if not _height_bound_ok(a1, B, P, Q, rh.height):
         raise HeightBoundError(f"height {rh.height} of {params} exceeds its bound")
     return rh
@@ -408,7 +416,7 @@ def height_sandwich_check(params: SequenceParams) -> bool:
     if cls.kind is Kind.NONREAL:
         raise DegenerateInputError(
             "non-real case: |b/a| = 1, the sandwich is trivial")
-    rh = ratio_height(params)
+    rh = _ratio_height(params, cls)
     h1 = rh.height + 1
     if rh.linear:
         c0, c1 = abs(rh.coeffs[0]), abs(rh.coeffs[1])   # |b/a| = c0/c1

@@ -4,7 +4,9 @@ deterministic machine-readable report.
 Work is split by (A, B) pair; results are merged in grid order, so the
 report is byte-identical for any parallelism setting.  Reports carry no
 timestamps and serialize every integer as a decimal string (terms grow
-exponentially and would overflow 64-bit JSON consumers).
+exponentially and would overflow 64-bit JSON consumers).  A JSON report is
+the bytes of json.dumps(report, indent=1) plus a newline, written by
+render_json without json's pure-Python encoder (which indent would force).
 
 Every failure is one discrepancy, and the sweep's violation count is the
 number of assertion-grade ones, which flip the exit status: a proved bound
@@ -27,6 +29,7 @@ the last such index, decides every hit.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import json
@@ -532,8 +535,65 @@ def run_sweep(config: SweepConfig) -> tuple[dict, int]:
 
 # -- serialization -----------------------------------------------------------
 
+_quote = json.encoder.encode_basestring_ascii
+
+
 def render_json(report: dict) -> str:
-    return json.dumps(report, indent=1) + "\n"
+    """The bytes of json.dumps(report, indent=1) plus a newline.
+
+    json.dumps takes its pure-Python encoder whenever indent is set, so the
+    report is written here instead, into one StringIO.  A report holds only
+    str, bool, None, list and dict with str keys; any other value (int,
+    float, tuple) raises TypeError rather than being coerced.
+    """
+    buf = io.StringIO()
+    _write_json(buf.write, report, "\n")
+    buf.write("\n")
+    return buf.getvalue()
+
+
+def _write_json(write, obj, nl: str) -> None:
+    """Writes obj, whose closing bracket goes after nl (newline + indent)."""
+    kind = type(obj)
+    if kind is str:
+        write(_quote(obj))
+    elif obj is True:
+        write("true")
+    elif obj is False:
+        write("false")
+    elif obj is None:
+        write("null")
+    elif kind is dict:
+        if not obj:
+            write("{}")
+            return
+        inner = nl + " "
+        sep = "{" + inner
+        for key, value in obj.items():
+            if type(value) is str:         # most values: no recursion
+                write(f"{sep}{_quote(key)}: {_quote(value)}")
+            else:                          # _quote raises on a non-str key
+                write(f"{sep}{_quote(key)}: ")
+                _write_json(write, value, inner)
+            sep = "," + inner
+        write(nl + "}")
+    elif kind is list:
+        if not obj:
+            write("[]")
+            return
+        inner = nl + " "
+        sep = "[" + inner
+        for value in obj:
+            if type(value) is str:
+                write(sep + _quote(value))
+            else:
+                write(sep)
+                _write_json(write, value, inner)
+            sep = "," + inner
+        write(nl + "]")
+    else:
+        raise TypeError(f"report values must be str, bool, None, list or "
+                        f"dict, not {kind.__name__}")
 
 
 def _csv_row(rec: dict) -> list[str]:
@@ -575,8 +635,15 @@ def render_csv(report: dict) -> str:
 
 
 def write_report(report: dict, path: str, fmt: str) -> None:
+    """Writes the report to path + ".tmp" and renames it to path; on an
+    OSError the .tmp file is removed and the error raised."""
     text = render_json(report) if fmt == "json" else render_csv(report)
     tmp = path + ".tmp"
-    with open(tmp, "w") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except OSError:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise

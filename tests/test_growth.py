@@ -13,6 +13,7 @@ from brigkit.growth import (BranchKind, GrowthCase, check_lucas_growth,
                             check_sharp_growth, empirical_nonreal_threshold,
                             height_sandwich_check, nonreal_threshold_formula,
                             ratio_height, real_case_branch)
+from brigkit.logbounds import ceil_log_affine
 
 from conftest import interval_sign, iter_terms
 
@@ -51,6 +52,49 @@ def test_branch_rejects_degenerate_and_zero_pq():
         real_case_branch(SequenceParams(3, 2, 1, 1))      # a = 0 (degenerate)
     with pytest.raises(DegenerateInputError):
         real_case_branch(SequenceParams(3, 2, 1, 2))      # b = 0 (degenerate)
+
+
+def _near_threshold(p, q):
+    """ceil((18 + 7 ln|Q|) * max(1, |Q/P|)) with the factor as a Fraction,
+    through the uncached ceiling."""
+    s = Fraction(max(abs(q), abs(p)), abs(p))
+    return ceil_log_affine.__wrapped__(7 * s, abs(q), 18 * s)
+
+
+_BIG_NEAR = [(3 ** 126 + 2, 2 ** 199 + 7), (-(2 ** 200) + 1, 5 ** 86 - 4),
+             (7 ** 71, -(2 ** 200) - 3), (2 ** 200 - 1, 2 ** 200 - 3),
+             (1, 2 ** 200 + 1)]
+
+
+def test_near_threshold_against_fraction_form():
+    """real_case_branch's near threshold, cached on (|P|, |Q|), against the
+    uncached Fraction form on every near-branch point of a grid and on
+    200-bit (P, Q)."""
+    seen = 0
+    for a, b in [(1, -1), (5, 3), (-4, -2), (7, 12), (3, -10), (-12, 3)]:
+        for p in range(-40, 41):
+            for q in range(-40, 41):
+                params = SequenceParams(a, b, p, q)
+                if p == 0 or q == 0 or classify(params).kind is not Kind.REAL:
+                    continue
+                br = real_case_branch(params)
+                if br.kind is BranchKind.NEAR:
+                    assert br.n_min == _near_threshold(p, q), params
+                    seen += 1
+    assert seen > 10000
+    for p, q in _BIG_NEAR:
+        br = real_case_branch(SequenceParams(5, 3, p, q))
+        assert br.kind is BranchKind.NEAR
+        assert br.n_min == _near_threshold(p, q), (p, q)
+
+
+def test_near_threshold_of_huge_initial_values_is_decided():
+    """20000-bit P and Q: the reduced factor |Q/P| keeps the enclosure
+    narrow, where the equal integer form ceil(ceil(7m*ln|Q| + 18m)/|P|)
+    would need ln|Q| past MAX_PREC bits."""
+    p, q = 2 ** 20000 + 1, 3 * 2 ** 19998 + 7
+    br = real_case_branch(SequenceParams(5, 3, p, q))
+    assert (br.kind, br.n_min) == (BranchKind.NEAR, 97057)
 
 
 # -- real-case growth ---------------------------------------------------------
@@ -272,6 +316,66 @@ def test_ratio_height_rejects_degenerate():
         with pytest.raises(DegenerateInputError):
             ratio_height(params)
 
+
+
+# (A, B, P, Q): (coeffs, height, linear), literals computed by the previous
+# Discriminant-based ratio_height, one or more per regime
+_RATIO_HEIGHT_PINS = {
+    (5, 3, 0, -7): ((-1, 1), 1, True),                 # P = 0
+    (-5, 3, 0, -7): ((-1, 1), 1, True),
+    (7, 12, 5, -3): ((-23, 18), 23, True),             # square delta
+    (-7, 12, 5, -3): ((-17, 12), 17, True),
+    (5, -6, -4, 9): ((-33, 5), 33, True),
+    (0, -1, 1, -1): ((-1, 0), 1, True),                # A = 0, c1 = 0
+    (0, -1, 3, 5): ((-1, 4), 4, True),
+    (4, 1, 2, 4): ((1, 1), 1, True),                   # 2Q = P*A
+    (-4, 1, 2, -4): ((1, 1), 1, True),
+    (6, 7, -2, -6): ((1, 1), 1, True),
+    (-2, 3, 1, -1): ((1, 1), 1, True),
+    (5, 3, -4, 7): ((237, -682, 237), 682, False),     # quadratic
+    (-5, 3, -4, 7): ((43, 122, 43), 122, False),
+    (12, -3, 8, -8): ((5, -88, 5), 88, False),
+    (2, 3, 1, -1): ((3, -2, 3), 3, False),             # non-real
+    (0, 2, 1, 1): ((3, 2, 3), 3, False),
+    (3, 3, 2, 1): ((7, -2, 7), 7, False),              # root-of-unity ratio
+    (2 ** 70 + 1, -3 ** 40, 7 ** 30, -5 ** 33): (
+        (3078576487257920042649511343982580276653113214937250145552670715596051,
+         708079129477359290516959849653465801290781974130706581245806735975086246986994492609322297727,
+         3078576487257920042649511343982580276653113214937250145552670715596051),
+        708079129477359290516959849653465801290781974130706581245806735975086246986994492609322297727,
+        False),
+}
+
+
+@pytest.mark.parametrize("abpq", list(_RATIO_HEIGHT_PINS))
+def test_ratio_height_is_pinned_in_every_regime(abpq):
+    rh = ratio_height(SequenceParams(*abpq))
+    assert (rh.coeffs, rh.height, rh.linear) == _RATIO_HEIGHT_PINS[abpq]
+
+
+def test_ratio_height_error_paths_are_pinned(monkeypatch):
+    """The degenerate classes without a ratio raise with their label; a
+    height past its bound raises HeightBoundError from ratio_height and from
+    the sandwich check alike."""
+    import brigkit.growth as g
+    for abpq, label in [
+            ((2, 1, 1, 1), "equal roots (A^2 = 4B)"),
+            ((3, 0, 1, 1), "B is zero"),
+            ((-3, 2, 1, -2), "closed-form coefficient on the minor root is zero"),
+            ((-3, 2, 1, -1), "closed-form coefficient on the dominant root is zero"),
+            ((0, 0, 0, 0), "both initial values zero")]:
+        with pytest.raises(DegenerateInputError) as err:
+            ratio_height(SequenceParams(*abpq))
+        assert str(err.value) == f"ratio b/a undefined or zero for degenerate: {label}"
+    with pytest.raises(DegenerateInputError, match="the sandwich is trivial"):
+        height_sandwich_check(SequenceParams(2, 3, 1, -1))
+    monkeypatch.setattr(g, "_height_bound_ok", lambda *args: False)
+    for abpq, h in [((1, -1, 1, 1), 3), ((3, 2, 7, 6), 8)]:
+        params = SequenceParams(*abpq)
+        for check in (ratio_height, height_sandwich_check):
+            with pytest.raises(g.HeightBoundError) as err:
+                check(params)
+            assert str(err.value) == f"height {h} of {params} exceeds its bound"
 
 def _ratio(params):
     """b/a as (r, s, e, delta), meaning (r + s*sqrt(delta))/e with e > 0.
@@ -517,8 +621,8 @@ def test_linear_sandwich_at_its_boundaries(monkeypatch):
     for c0, c1 in [(-8, 1), (1, 3), (-5, 3), (3, 5), (-1, 1)]:
         ratio = Fraction(abs(c0), c1)
         for h in range(0, 10):
-            monkeypatch.setattr(g, "ratio_height",
-                                lambda p, h=h: g.RatioHeight((c0, c1), h, True))
+            monkeypatch.setattr(g, "_ratio_height",
+                                lambda p, cls, h=h: g.RatioHeight((c0, c1), h, True))
             want = Fraction(1, h + 1) < ratio < h + 1
             assert g.height_sandwich_check(params) == want, (c0, c1, h)
             outcomes.add((want, h + 1 in (ratio, 1 / ratio)))

@@ -452,6 +452,15 @@ def forced_branch_scans(draw):
 @example((1, 0, 1, 1, 30))       # B = 0: alpha = 1, u_n = Q from n = 1
 @example((2, 0, 3, -5, 30))      # B = 0: u_n = 2^(n-1)*Q
 @example((5, 0, -1, 4, 30))
+# One witness per envelope mutation, each found by a grid search of forced
+# scans (1 <= A <= 12, -12 <= B < A^2/4, 0 < |P|, |Q| <= 6, hi = 40):
+@example((2, -1, -1, 1, 40))     # the certificate's right side halved claims
+                                 # the far bounds, which fail at n = 2
+@example((1, -1, -2, 1, 40))     # s1*w_n replaced by |w_n| (and l_n taken as
+                                 # s1*u_n) claims the near bounds, which fail
+                                 # at n = 3
+@example((1, -3, -1, 1, 40))     # l_n always taken as s1*u_n claims the far
+                                 # bounds, which fail at n = 3
 def test_forced_branch_scan_from_two_matches_interval_referee(case):
     """Both branches' bounds scanned from lo = 2, where most of them still
     fail and an envelope that claims too much returns -1 too early.  The

@@ -188,6 +188,37 @@ def test_json_round_trip(small_report):
     assert render_json(json.loads(text)) == text
 
 
+# strings that exercise every escape: quotes, backslashes, control and
+# non-ASCII characters, astral ones and lone surrogates included
+json_text = st.text(st.one_of(st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f\xe9\u2028'),
+                              st.characters(blacklist_categories=())), max_size=8)
+json_trees = st.recursive(
+    st.one_of(json_text, st.booleans(), st.none()),
+    lambda kids: st.one_of(st.lists(kids, max_size=4),
+                           st.dictionaries(json_text, kids, max_size=4)),
+    max_leaves=30)
+
+
+@settings(max_examples=300, deadline=None)
+@given(json_trees)
+@example({})
+@example([])
+@example({"": [], "a": {}, "b": [{}, [], [[]]], "c": [True, False, None]})
+@example(["\"\\\x00\ud800\U0001f600"])
+def test_render_json_equals_json_dumps(tree):
+    assert render_json(tree) == json.dumps(tree, indent=1) + "\n"
+
+
+@pytest.mark.parametrize("tree", [1, 0, 1.0, ("a",), {"a": 1}, {"a": 0},
+                                  [True, 1], {"a": {"b": ("c",)}}, {1: "a"},
+                                  {None: "a"}])
+def test_render_json_rejects_numbers_and_tuples(tree):
+    """json.dumps would write these; a report holds none, so the writer
+    refuses them, and 1 and 0 are not written as true and false."""
+    with pytest.raises(TypeError):
+        render_json(tree)
+
+
 def test_csv_round_trip(small_report):
     report, _ = small_report
     rows = assert_csv_table(render_csv(report))
@@ -433,6 +464,31 @@ def test_cli_sweep_roundtrip(tmp_path, capsys):
     assert len(rows) == 5 * 5 * 3 * 3
 
 
+def test_cli_sweep_missing_output_directory_fails_before_the_sweep(
+        tmp_path, monkeypatch, capsys):
+    def no_sweep(cfg):
+        raise AssertionError("the sweep ran")
+    monkeypatch.setattr("brigkit.cli.run_sweep", no_sweep)
+    out = tmp_path / "missing_dir" / "r.json"
+    assert main(["sweep", "--a-range=1:1", "--b-range=-1:-1", "--p-range=1:1",
+                 "--q-range=1:1", "--checks", "growth", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: output directory ") and "missing_dir" in err
+    assert not (tmp_path / "missing_dir").exists()
+
+
+def test_cli_sweep_write_error_exits_1_and_leaves_no_tmp_file(tmp_path, capsys):
+    out = tmp_path / "taken"
+    out.mkdir()                  # renaming the report onto a directory fails
+    assert main(["sweep", "--a-range=1:1", "--b-range=-1:-1", "--p-range=1:1",
+                 "--q-range=1:1", "--checks", "growth", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+    assert captured.out == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]
+    assert list(out.iterdir()) == []
+
+
 def test_cli_sweep_flags_override_the_config_file(tmp_path, capsys):
     cfgfile = tmp_path / "cfg.json"
     cfgfile.write_text(json.dumps({
@@ -643,8 +699,9 @@ def test_zeros_sweep_report_bytes_are_pinned(jobs):
                       checks=("zeros", "zero-family"), parallelism=jobs)
     report, violations = run_sweep(cfg)
     assert violations == 0 == assertion_count(report)
-    digest = hashlib.sha256(render_json(report).encode()).hexdigest()
-    assert digest == ZEROS_SWEEP_SHA256
+    text = render_json(report)
+    assert text == json.dumps(report, indent=1) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == ZEROS_SWEEP_SHA256
 
 
 _PINNED_SWEEP_DIGESTS = """
@@ -686,8 +743,9 @@ def test_growth_sweep_report_bytes_are_pinned():
                       checks=("growth", "lucas", "height"), parallelism=2)
     report, violations = run_sweep(cfg)
     assert violations == 0 == assertion_count(report)
-    digest = hashlib.sha256(render_json(report).encode()).hexdigest()
-    assert digest == GROWTH_SWEEP_SHA256
+    text = render_json(report)
+    assert text == json.dumps(report, indent=1) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == GROWTH_SWEEP_SHA256
 
 
 _TRACED_SWEEP = """
