@@ -22,9 +22,12 @@ Every zero verdict is refereed by brute_force_zero_oracle, which shares no
 code and no modulus with the kernels.  It screens modulo its own prime with
 one residue table per (A, B) pair, shared by all the pair's (P, Q): for
 n >= 1, u_n = 0 (mod p) exactly when (P : Q) is the point
-(U_n : B*U_{n-1}) mod p, so the table files each index under that point.
-The screen only says where a zero may be; the exact recurrence, run up to
-the last such index, decides every hit.
+(U_n : B*U_{n-1}) mod p, so the table files each index under that point:
+a dict from the point's key to its index, or to its ascending indices once
+the key repeats, built in one forward and one backward pass without a sort.
+A query is one lookup (and a bisection for a repeated key).  The screen only
+says where a zero may be; the exact recurrence, run up to the last such
+index, decides every hit.
 """
 
 from __future__ import annotations
@@ -36,7 +39,6 @@ import json
 import multiprocessing
 import os
 import sys
-from array import array
 from bisect import bisect_right
 from dataclasses import MISSING, dataclass, fields
 from fractions import Fraction
@@ -153,10 +155,9 @@ def config_from_dict(data: dict) -> SweepConfig:
     return cfg
 
 
-# A table entry is key << _N_BITS | n, so entries sort by key and then by
-# index, and one bisection finds a key's last index up to any horizon.
-_N_BITS = 32
-_N_MASK = (1 << _N_BITS) - 1
+# The largest horizon a table accepts; a larger one raises before the table
+# allocates anything.
+_MAX_HORIZON = (1 << 32) - 1
 
 
 class _ZeroTable:
@@ -165,70 +166,83 @@ class _ZeroTable:
 
     For n >= 1, u_n = Q*U_n - P*B*U_{n-1}, where U is the Lucas sequence of
     (A, B) (u_0 = P, u_1 = Q).  So u_n = 0 (mod m) exactly when (P : Q) is
-    the projective point (U_n : B*U_{n-1}) mod m.  Index n is stored under
+    the projective point (U_n : B*U_{n-1}) mod m.  Index n is filed under
     that point's key: U_n * (B*U_{n-1})^-1 when B*U_{n-1} != 0 (a (P, Q)
     with Q != 0 has key P * Q^-1); m, "infinity", when only U_n != 0 (the
     (P, Q) with Q = 0); and m + 1 when both are 0, which every (P, Q)
-    matches.  A (P, Q) = (0, 0) matches every index.  The keys of one
-    growth share one modular inverse (Montgomery's batch inversion), and
-    the table holds one machine word per index.
+    matches.  A (P, Q) = (0, 0) matches every index.
+
+    The index maps a key to its one index, or to the ascending list of its
+    indices once it repeats.  A key seen once is the usual case, since the
+    orbit of (0 : 1) modulo a 30-bit prime is long; repeats come from short
+    orbits (degenerate pairs, B = 0 mod m, small moduli).  A growth is one
+    forward pass over U, one backward pass that turns the points into keys
+    with one modular inverse (Montgomery's batch inversion), and no sort: a
+    regrowth only appends indices above the old ones.
     """
 
-    __slots__ = ("a", "b", "m", "hi", "prev", "cur", "entries")
+    __slots__ = ("a", "b", "m", "hi", "prev", "cur", "index")
 
     def __init__(self, a: int, b: int, m: int):
         self.a, self.b, self.m = a, b, m
         self.hi = 0
         self.prev, self.cur = 0, 1          # U_hi, U_{hi+1} mod m
-        self.entries = array("q")
+        self.index: dict[int, int | list[int]] = {}
 
     def _grow(self, hi: int) -> None:
         """Extend the table to the indices up to hi."""
         a, b, m, lo = self.a, self.b, self.m, self.hi
         prev, cur = self.prev, self.cur
-        # us[i] = U_{lo+i}; prods[i] is the product of the nonzero
-        # B*U_{n-1} of the indices n before lo+1+i
-        us, prods = array("q", [prev]), array("q")
+        count = hi - lo
+        # for index n = lo+1+i, whose point is (U_n : B*U_{n-1}): xs[i] = U_n,
+        # ys[i] = B*U_{n-1}, and keys[i] is first the product of the nonzero
+        # ys before i, then n's key
+        xs, ys, keys = [0] * count, [0] * count, [0] * count
         acc = 1
-        for _ in range(lo, hi):
-            us.append(cur)
-            prods.append(acc)
+        for i in range(count):
             y = b * prev % m
+            xs[i], ys[i], keys[i] = cur, y, acc
             if y:
                 acc = acc * y % m
-            prev, cur = cur, (a * cur - b * prev) % m
+            prev, cur = cur, (a * cur - y) % m
         # inv runs through the inverses of the products, last index first,
-        # so inv * prods[i] is the inverse of index lo+1+i's nonzero y
+        # so inv * keys[i] is the inverse of ys[i] when that is nonzero
         inv = pow(acc, -1, m)
-        new = []
-        for i in range(hi - lo - 1, -1, -1):
-            # the point of index n = lo+1+i is (U_n : B*U_{n-1})
-            x, y, n = us[i + 1], b * us[i] % m, lo + 1 + i
+        for i in range(count - 1, -1, -1):
+            y = ys[i]
             if y:
-                new.append((x * inv * prods[i] % m) << _N_BITS | n)
+                keys[i] = xs[i] * inv * keys[i] % m
                 inv = inv * y % m
             else:
-                new.append((m if x else m + 1) << _N_BITS | n)
-        new.extend(self.entries)
-        new.sort()
-        self.entries = array("q", new)
+                keys[i] = m if xs[i] else m + 1
+        del xs, ys                         # freed before the index grows
+        index = self.index
+        n = lo
+        for key in keys:
+            n += 1
+            seen = index.setdefault(key, n)
+            if seen != n:                  # a repeat: n is above its indices
+                if type(seen) is list:
+                    seen.append(n)
+                else:
+                    index[key] = [seen, n]
         self.hi, self.prev, self.cur = hi, prev, cur
 
     def _last_under(self, key: int, horizon: int) -> int:
-        entries = self.entries
-        i = bisect_right(entries, key << _N_BITS | horizon)
-        if i and entries[i - 1] >> _N_BITS == key:
-            return entries[i - 1] & _N_MASK
-        return 0
+        seen = self.index.get(key, 0)
+        if type(seen) is int:
+            return seen if seen <= horizon else 0
+        i = bisect_right(seen, horizon)
+        return seen[i - 1] if i else 0
 
     def last_zero(self, P: int, Q: int, horizon: int) -> int:
         """The largest n in [1, horizon] with u_n = 0 (mod m), or 0."""
         if horizon < 1:
             return 0
-        if horizon > _N_MASK:
-            raise ValueError(f"oracle horizon {horizon} exceeds 2^{_N_BITS} - 1")
+        if horizon > _MAX_HORIZON:
+            raise ValueError(f"oracle horizon {horizon} exceeds 2^32 - 1")
         if horizon > self.hi:
-            self._grow(min(max(horizon, 2 * self.hi), _N_MASK))
+            self._grow(min(max(horizon, 2 * self.hi), _MAX_HORIZON))
         m = self.m
         p, q = P % m, Q % m
         if q:
@@ -240,9 +254,11 @@ class _ZeroTable:
         return max(self._last_under(key, horizon), self._last_under(m + 1, horizon))
 
 
-@lru_cache(maxsize=4)
+@lru_cache(maxsize=1)
 def _zero_table(a: int, b: int, m: int) -> _ZeroTable:
-    """The pair's table, kept while the sweep works through its (P, Q)."""
+    """The pair's table, kept while the sweep works through its (P, Q).  The
+    sweep goes pair by pair, so one table is enough, and an index costs
+    about 93 bytes."""
     return _ZeroTable(a, b, m)
 
 
@@ -271,6 +287,7 @@ def brute_force_zero_oracle(params: SequenceParams, horizon: int) -> list[int]:
 
 
 def _expected_zero_set(result, horizon: int) -> list[int]:
+    """The indices in [0, horizon] at which result says u_n = 0, ascending."""
     if isinstance(result, ZeroAt):
         return [result.k] if result.k <= horizon else []
     if isinstance(result, NoZero):
@@ -278,9 +295,21 @@ def _expected_zero_set(result, horizon: int) -> list[int]:
     if isinstance(result, AllZero):
         return list(range(horizon + 1))
     if isinstance(result, PeriodicZeros):
-        return [n for n in range(horizon + 1) if n % result.modulus in result.residues]
+        # the whole periods below top interleave one step range per residue;
+        # the partial period from top on follows
+        step = result.modulus
+        residues = sorted(r for r in result.residues if 0 <= r < step)
+        top = (horizon + 1) // step * step
+        out = [0] * (top // step * len(residues))
+        for j, r in enumerate(residues):
+            out[j::len(residues)] = range(r, top, step)
+        out.extend(top + r for r in residues if top + r <= horizon)
+        return out
     if isinstance(result, ZeroTail):
-        return [n for n in range(horizon + 1) if n in result.prefix or n >= result.start]
+        start = max(result.start, 0)
+        cut = min(start, horizon + 1)
+        return (sorted(n for n in result.prefix if 0 <= n < cut)
+                + list(range(start, horizon + 1)))
     raise TypeError(f"unknown zero result {result!r}")
 
 

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
@@ -116,11 +117,16 @@ def oracle_queries(draw):
 @example((0, ORACLE_PRIME, [(1, 0, 120), (1, 1, 60), (0, 1, 121)]))
 @example((0, 0, [(5, 7, 80), (0, 0, 3)]))
 @example((ORACLE_PRIME, -ORACLE_PRIME, [(1, 1, 200), (0, 1, 400), (2, 0, 399)]))
+# U of (1, 1) and of (-1, 1) repeats every 6 and every 3 terms, so every key
+# repeats: the first growth files single indices, the regrowth turns them into
+# lists, and each later horizon falls strictly between two of a key's indices
+@example((1, 1, [(1, 1, 2), (1, 1, 100), (1, 1, 40), (1, 0, 60), (0, 1, 250)]))
+@example((-1, 1, [(1, 0, 1), (0, 1, 90), (1, 0, 50), (-1, 1, 21), (2, -2, 9)]))
 def test_oracle_table_matches_plain_recurrence(case):
     """The oracle's per-pair table against conftest's recurrence, on the
     cases the table treats apart: P or Q a multiple of the prime (the
     infinity key and (P, Q) = (0, 0) mod p), A or B = 0 mod p (the bucket
-    every (P, Q) matches), and zeros at a chosen index."""
+    every (P, Q) matches), keys that repeat, and zeros at a chosen index."""
     a, b, queries = case
     sweep_mod._zero_table.cache_clear()
     for p, q, horizon in queries:
@@ -130,25 +136,115 @@ def test_oracle_table_matches_plain_recurrence(case):
 
 
 def test_oracle_table_is_small_and_cached():
-    """One machine word per index decided, never the terms, behind a bounded
-    cache keyed on the residues of (A, B) and on the prime; a horizon past
-    the table grows it to at least twice its size."""
+    """A bounded cache keyed on the residues of (A, B) and on the prime; a
+    horizon past the table grows it to at least twice its size, and every
+    index decided is filed once.  The table keeps its index and never the
+    terms: at most 128 bytes per index on a 10,000-index table.  A horizon
+    past 2^32 - 1 raises before the table allocates anything."""
     assert sweep_mod._zero_table.cache_info().maxsize is not None
     m = ORACLE_PRIME
+
+    def filed(table):
+        return sum(1 if type(v) is int else len(v) for v in table.index.values())
+
     for a, b in [(3, 2), (1, -1), (0, 5), (5, 0), (0, 0)]:
         sweep_mod._zero_table.cache_clear()
         brute_force_zero_oracle(SequenceParams(a, b, 1, 1), 2000)
         table = sweep_mod._zero_table(a % m, b % m, m)
         assert sweep_mod._zero_table.cache_info().hits == 1
-        assert (table.hi, len(table.entries)) == (2000, 2000)
-        assert table.entries.typecode == "q" and table.entries.itemsize == 8
+        assert (table.hi, filed(table)) == (2000, 2000)
         brute_force_zero_oracle(SequenceParams(a + m, b - m, 2, 3), 2001)
         assert sweep_mod._zero_table(a % m, b % m, m) is table
-        assert (table.hi, len(table.entries)) == (4000, 4000)
+        assert (table.hi, filed(table)) == (4000, 4000)
         brute_force_zero_oracle(SequenceParams(a, b, 1, 1), 9000)
-        assert (table.hi, len(table.entries)) == (9000, 9000)
-    with pytest.raises(ValueError):
-        brute_force_zero_oracle(SequenceParams(3, 2, 1, 1), 2 ** 32)
+        assert (table.hi, filed(table)) == (9000, 9000)
+
+    sweep_mod._zero_table.cache_clear()
+    tracemalloc.start()
+    try:
+        brute_force_zero_oracle(SequenceParams(3, 2, 1, 1), 10_000)
+        retained, _ = tracemalloc.get_traced_memory()
+        sweep_mod._zero_table.cache_clear()
+        tracemalloc.reset_peak()
+        with pytest.raises(ValueError, match="exceeds"):
+            brute_force_zero_oracle(SequenceParams(3, 2, 1, 1), 2 ** 32)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert retained <= 128 * 10_000
+    assert peak < 64 * 1024
+    table = sweep_mod._zero_table(3, 2, m)
+    assert (table.hi, table.index) == (0, {})
+    sweep_mod._zero_table.cache_clear()
+
+
+def test_expected_zero_sets_match_the_plain_comprehension():
+    """The range-built zero sets the oracle is compared with, against the
+    index-by-index definition of each result kind."""
+    from itertools import combinations
+    from brigkit.zeros import AllZero, NoZero, PeriodicZeros, ZeroAt, ZeroTail
+
+    def subsets(items):
+        return [frozenset(c) for k in range(len(items) + 1)
+                for c in combinations(items, k)]
+
+    def plain(result, horizon):
+        if isinstance(result, ZeroAt):
+            return [n for n in range(horizon + 1) if n == result.k]
+        if isinstance(result, NoZero):
+            return []
+        if isinstance(result, AllZero):
+            return list(range(horizon + 1))
+        if isinstance(result, PeriodicZeros):
+            return [n for n in range(horizon + 1)
+                    if n % result.modulus in result.residues]
+        return [n for n in range(horizon + 1)
+                if n in result.prefix or n >= result.start]
+
+    results = [AllZero(), NoZero(0, conclusive=True),
+               *(ZeroAt(k) for k in (0, 1, 7, 2000, 10_001))]
+    results += [PeriodicZeros(m, r) for m in range(1, 7)
+                for r in subsets(range(m)) if r]
+    results += [ZeroTail(start, prefix) for start in (0, 1, 2, 3, 2001)
+                for prefix in subsets((0, 1, 2))]
+    for result in results:
+        for horizon in (0, 1, 2000, 10_000):
+            assert (sweep_mod._expected_zero_set(result, horizon)
+                    == plain(result, horizon)), (result, horizon)
+
+
+def _code_names(code) -> set:
+    """Every global and attribute name code and its nested code objects use."""
+    names = set(code.co_names)
+    for const in code.co_consts:
+        if isinstance(const, type(code)):
+            names |= _code_names(const)
+    return names
+
+
+def test_oracle_names_nothing_from_the_kernels():
+    """The oracle referees the zero kernel, so it must not borrow its code or
+    its screen: none of its functions names the kernels module or anything
+    defined there, and its prime is not the kernel's screening prime."""
+    own = {name for name, value in vars(kernels).items()
+           if not name.startswith("__")
+           and getattr(value, "__module__", kernels.__name__) == kernels.__name__}
+    assert {"_SCREEN_PRIME", "zero_scan"} <= own
+    table_methods = [v for v in vars(sweep_mod._ZeroTable).values()
+                     if callable(v)]
+    assert len(table_methods) >= 3
+    codes = [sweep_mod.brute_force_zero_oracle.__code__,
+             sweep_mod._zero_table.__wrapped__.__code__,
+             *(f.__code__ for f in table_methods)]
+    for code in codes:
+        names = _code_names(code)
+        assert not names & (own | {"kernels"}), code.co_name
+        for name in names & set(vars(sweep_mod)):
+            value = vars(sweep_mod)[name]
+            assert value is not kernels, (code.co_name, name)
+            assert getattr(value, "__module__", None) != kernels.__name__, \
+                (code.co_name, name)
+    assert sweep_mod._ORACLE_PRIME != kernels._SCREEN_PRIME
 
 
 def test_config_validation():
