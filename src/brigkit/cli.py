@@ -20,7 +20,7 @@ from .growth import (HeightBoundError, check_lucas_growth, check_nonreal_growth,
                      check_real_growth, check_sharp_growth,
                      empirical_nonreal_threshold, height_sandwich_check,
                      nonreal_threshold_formula, ratio_height,
-                     DEFAULT_C_LUCAS_NONREAL)
+                     DEFAULT_C_LUCAS_NONREAL, DEFAULT_C_NONREAL_THRESHOLD)
 from .sweep import (SweepConfigError, config_from_dict, render_csv,
                     render_json, run_sweep, write_report, zero_result_dict)
 from .terms import term_fast, term_iter
@@ -86,7 +86,7 @@ def build_parser() -> argparse.ArgumentParser:
                       required=True)
     p_gr.add_argument("--c1", type=str, default=None,
                       help="constant for the non-real Lucas bound (rational)")
-    p_gr.add_argument("--c5", type=str, default="50",
+    p_gr.add_argument("--c5", type=str, default=DEFAULT_C_NONREAL_THRESHOLD,
                       help="constant for the non-real threshold formula (rational)")
     p_gr.add_argument("--json", action="store_true")
 

@@ -1,13 +1,16 @@
 """Exact verification of growth lower bounds on |u_n|.
 
 Real case (A^2 > 4B): the branch on how far the minor root sits from zero
-relative to |Q/P| decides which pair of lower bounds applies.  Each bound is
-verified exactly as one integer margin: powers of the dominant root alpha
-and of the golden ratio phi come from alpha_power as (V_m + U_m*sqrt(d))/2,
-every denominator is cleared, and the sign of the resulting integer surd
-x + y*sqrt(d) decides the bound.  Non-real case (A^2 < 4B): |alpha| =
-sqrt(B), so the claimed |u_n| >= |alpha|^(2n/3) is the pure integer test
-|u_n|^3 >= B^n.
+relative to |Q/P| decides which pair of lower bounds applies.  Every
+real-branch, sharp and Lucas bound is a row k*2^(e*m)*|u_n| >= c*gamma^m
+(kernels.real_bounds), gamma being A, 3, sqrt(delta), sqrt5, phi or alpha;
+the scans share the rows of kernels.real_bounds and kernels.lucas_bound,
+and check_sharp_growth declares the ten sharp rows.  _bound_margins
+verifies each row as one integer margin: gamma^m comes from alpha_power as
+(V_m + U_m*sqrt(d))/2, every denominator is cleared, and the sign of the
+resulting integer surd x + y*sqrt(d) decides the bound.  Non-real case
+(A^2 < 4B): |alpha| = sqrt(B), so the claimed |u_n| >= |alpha|^(2n/3) is
+the pure integer test |u_n|^3 >= B^n.
 
 Every sign of a surd here, in the margins and in the branch, height-bound
 and sandwich decisions, is one intutil.surd_sign on integers.  Every report
@@ -89,18 +92,32 @@ def _margin(label: str, value) -> Margin:
     return Margin(label, value, sign)
 
 
-def _power_margin(label: str, x: int, power: QuadElem, c: int = 1,
-                  k: int = 1) -> Margin:
-    """The margin x - c*power/k, with power = (v + u*sqrt(d))/den, as the
-    integer surd (k*den*x - c*v - c*u*sqrt(d))/(k*den)."""
-    den = k * power.den
-    return _margin(label, QuadElem(den * x - c * power.x, -c * power.y,
-                                   power.d, den))
+def _bound_margins(un: int, n: int, rows) -> tuple[Margin, ...]:
+    """The margin |u_n| - c*gamma^m/K, K = k*2^(e*m), of each row (label, k,
+    e, c, off, a, b), with gamma^m = alpha_power(a, b, m) = (v + u*sqrt(d))/2:
+    the integer surd (2K*|u_n| - c*v - c*u*sqrt(d))/(2K)."""
+    margins = []
+    for label, k, e, c, off, a, b in rows:
+        m = n - off
+        power = alpha_power(a, b, m)
+        den = (k << e * m) * power.den
+        margins.append(_margin(label, QuadElem(den * un - c * power.x,
+                                               -c * power.y, power.d, den)))
+    return tuple(margins)
 
 
 def _report(n, regime, applicable, margins=(), threshold=None) -> GrowthReport:
     holds = all(m.sign >= 0 for m in margins) if applicable else None
     return GrowthReport(n, regime, applicable, holds, tuple(margins), threshold)
+
+
+def _real_report(params: SequenceParams, n: int, regime: str, threshold: int,
+                 rows) -> GrowthReport:
+    """Not applicable below threshold; from it on, the margins of rows."""
+    if n < threshold:
+        return _report(n, regime, False, threshold=threshold)
+    un = abs(terms.term_fast(params, n))
+    return _report(n, regime, True, _bound_margins(un, n, rows), threshold)
 
 
 def _real_setup(params: SequenceParams):
@@ -120,7 +137,11 @@ def real_case_branch(params: SequenceParams) -> GrowthBranch:
     delta).  The threshold is ceil(6|Q/P|) + 6 on the far branch and the
     certified ceiling of (18 + 7*ln|Q|)*max(1, |Q/P|) on the near branch.
     """
-    a, b, abs_p, abs_q = _real_setup(params)
+    return _branch(*_real_setup(params))
+
+
+def _branch(a: int, b: int, abs_p: int, abs_q: int) -> GrowthBranch:
+    """real_case_branch on A = a >= 0, B = b, |P| and |Q|."""
     delta = a * a - 4 * b
     far_min = 6 - (-6 * abs_q // abs_p)
     if surd_sign(a * abs_p - 6 * abs_q, -abs_p, delta) >= 0:    # A - D >= 6|Q/P|
@@ -156,20 +177,9 @@ def check_real_growth(params: SequenceParams, n: int) -> GrowthReport:
         and |u_n| >= phi^n/max(14|P|, 36|Q|).
     """
     a, b, abs_p, abs_q = _real_setup(params)
-    branch = real_case_branch(params)
-    regime = f"real-{branch.kind.value}"
-    if n < branch.n_min:
-        return _report(n, regime, False, threshold=branch.n_min)
-    un = abs(terms.term_fast(params, n))
-    apow = alpha_power(a, b, n - 2)
-    if branch.kind is BranchKind.FAR:
-        m1 = _power_margin("alpha-halves", un, apow, abs_q, 2 ** (n - 2))
-        m2 = _margin("sqrt5-halves", un * un * 4 ** n - abs_q * abs_q * 5 ** n)
-        return _report(n, regime, True, (m1, m2), branch.n_min)
-    m1 = _power_margin("alpha-power", un, apow, k=max(5 * abs_p, 22 * abs_q))
-    m2 = _power_margin("golden-power", un, alpha_power(1, -1, n),
-                       k=max(14 * abs_p, 36 * abs_q))
-    return _report(n, regime, True, (m1, m2), branch.n_min)
+    branch = _branch(a, b, abs_p, abs_q)
+    rows = kernels.real_bounds(a, b, abs_p, abs_q, branch.kind is BranchKind.FAR)
+    return _real_report(params, n, f"real-{branch.kind.value}", branch.n_min, rows)
 
 
 def check_sharp_growth(params: SequenceParams, n: int) -> GrowthReport:
@@ -184,63 +194,32 @@ def check_sharp_growth(params: SequenceParams, n: int) -> GrowthReport:
     near-tight (near threshold):  |u_n| >= alpha^(n-1)/(22|Q|), phi^n/(36|Q|)
     """
     a, b, abs_p, abs_q = _real_setup(params)
-    branch = real_case_branch(params)
-    delta = a * a - 4 * b
+    branch = _branch(a, b, abs_p, abs_q)
     case = branch.case
-
     if case is GrowthCase.FAR_POS:
-        regime = "sharp-far-positive"
-        if n < 7:
-            return _report(n, regime, False, threshold=7)
-        un = abs(terms.term_fast(params, n))
-        m1 = _margin("eleven-a-halves",
-                     un * 2 ** (n - 1) - 11 * abs_q * a ** (n - 1))
-        m2 = _margin("seven-three-halves", un * 2 ** n - 7 * abs_q * 3 ** n)
-        return _report(n, regime, True, (m1, m2), 7)
-
-    if case is GrowthCase.FAR_NEG:
-        if n % 2 == 0:
-            regime = "sharp-far-negative-even"
-            if n < 2:
-                return _report(n, regime, False, threshold=2)
-            un = abs(terms.term_fast(params, n))
-            m1 = _power_margin("alpha-linear", un, alpha_power(a, b, n - 1), abs_q)
-            m2 = _power_margin("golden-three-fifths", un, alpha_power(1, -1, n),
-                               3 * abs_q, 5)
-            return _report(n, regime, True, (m1, m2), 2)
+        regime, t = "sharp-far-positive", 7
+        rows = (("eleven-a-halves", 1, 1, 11 * abs_q, 1, a, 0),
+                ("seven-three-halves", 1, 1, 7 * abs_q, 0, 3, 0))
+    elif case is GrowthCase.FAR_NEG and n % 2 == 0:
+        regime, t = "sharp-far-negative-even", 2
+        rows = (("alpha-linear", 1, 0, abs_q, 1, a, b),
+                ("golden-three-fifths", 5, 0, 3 * abs_q, 0, 1, -1))
+    elif case is GrowthCase.FAR_NEG:
         regime = "sharp-far-negative-odd"
-        n_min = 3 - (-6 * abs_q // abs_p)      # ceil(6|Q/P| + 3)
-        if n < n_min:
-            return _report(n, regime, False, threshold=n_min)
-        un = abs(terms.term_fast(params, n))
-        # n odd: D^(n-2) = delta^((n-3)/2) * sqrt(delta), sqrt5^n likewise
-        den = 2 ** (n - 1)
-        m1 = _margin("half-n-a-d-halves",
-                     QuadElem(den * un, -n * a * abs_q * delta ** ((n - 3) // 2),
-                              delta, den))
-        den = 5 * 2 ** n
-        m2 = _margin("sqrt5-fourteen-fifths",
-                     QuadElem(den * un, -14 * abs_q * 5 ** ((n - 1) // 2), 5, den))
-        return _report(n, regime, True, (m1, m2), n_min)
-
-    if case is GrowthCase.NEAR_WIDE:
+        t = 3 - (-6 * abs_q // abs_p)      # ceil(6|Q/P| + 3)
+        rows = (("half-n-a-d-halves", 2, 1, n * a * abs_q, 2, 0, 4 * b - a * a),
+                ("sqrt5-fourteen-fifths", 5, 1, 14 * abs_q, 0, 0, -5))
+    elif case is GrowthCase.NEAR_WIDE:
         regime = "sharp-near-wide"
         # smallest n with n > 12 + 5*ln|Q| (the bound is strict)
         t = ceil_log_affine(5, abs_q, 12) + (1 if abs_q == 1 else 0)
-        if n < t:
-            return _report(n, regime, False, threshold=t)
-        un = abs(terms.term_fast(params, n))
-        m1 = _power_margin("alpha-over-5p", un, alpha_power(a, b, n - 2), k=5 * abs_p)
-        m2 = _power_margin("golden-over-14p", un, alpha_power(1, -1, n), k=14 * abs_p)
-        return _report(n, regime, True, (m1, m2), t)
-
-    regime = "sharp-near-tight"
-    if n < branch.n_min:
-        return _report(n, regime, False, threshold=branch.n_min)
-    un = abs(terms.term_fast(params, n))
-    m1 = _power_margin("alpha-over-22q", un, alpha_power(a, b, n - 1), k=22 * abs_q)
-    m2 = _power_margin("golden-over-36q", un, alpha_power(1, -1, n), k=36 * abs_q)
-    return _report(n, regime, True, (m1, m2), branch.n_min)
+        rows = (("alpha-over-5p", 5 * abs_p, 0, 1, 2, a, b),
+                ("golden-over-14p", 14 * abs_p, 0, 1, 0, 1, -1))
+    else:
+        regime, t = "sharp-near-tight", branch.n_min
+        rows = (("alpha-over-22q", 22 * abs_q, 0, 1, 1, a, b),
+                ("golden-over-36q", 36 * abs_q, 0, 1, 0, 1, -1))
+    return _real_report(params, n, regime, t, rows)
 
 
 def check_nonreal_growth(params: SequenceParams, n: int) -> GrowthReport:
@@ -307,11 +286,9 @@ def check_lucas_growth(A: int, B: int, n: int,
     a = abs(A)
     un = abs(terms.lucas_U(a, B, n))
     if cls.kind is Kind.REAL:
-        if B < 0:
-            margin = _power_margin("double-u", 2 * un, alpha_power(a, B, n - 2))
-            return _report(n, "lucas-negative-b", True, (margin,), 2)
-        margin = _power_margin("u-alpha", un, alpha_power(a, B, n - 1))
-        return _report(n, "lucas-positive-b", True, (margin,), 2)
+        regime = "lucas-negative-b" if B < 0 else "lucas-positive-b"
+        rows = (kernels.lucas_bound(a, B),)
+        return _report(n, regime, True, _bound_margins(un, n, rows), 2)
     if c_nonreal is None:
         raise DegenerateInputError(
             "non-real Lucas bound needs an explicit constant (c_nonreal)")

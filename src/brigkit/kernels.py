@@ -9,15 +9,18 @@ last index whose residue is 0 in O(sqrt(hi)) giant steps, with one baby
 table per (A, B) mod the prime.  A nonzero residue proves u_n != 0, so the
 screen only rules indices out, and the exact recurrence, unchanged, decides
 every index it leaves.  The real and Lucas growth scans share one loop,
-_first_violation, built on the closed form sqrt(delta)*u_n =
-(Q - P*beta)*alpha^n - (Q - P*alpha)*beta^n: its lower envelope l_n, with
-l_n/alpha^n never decreasing, turns one exact test at one index into a
-proof of a bound at every later index, so a scan usually ends at its first
-index; where the envelope does not yet suffice, the bounds are decided
-exactly on |u_n| and the scan steps once.  The non-real scan builds
-|u_n|^3 only where its bit length and that of B^n leave |u_n|^3 < B^n
-open.  The kernels call lucas_u_pair through this module's globals, so a
-wrapper set on brigkit.kernels.lucas_u_pair sees every call.
+_first_violation, over the bounds that real_bounds and lucas_bound declare
+as rows k*2^(e*m)*|u_n| >= c*gamma^m (the per-index checkers of
+brigkit.growth evaluate the same rows).  The loop is built on the closed
+form sqrt(delta)*u_n = (Q - P*beta)*alpha^n - (Q - P*alpha)*beta^n: its
+lower envelope l_n, with l_n/alpha^n never decreasing, turns one exact test
+at one index into a proof of a bound at every later index, so a scan
+usually ends at its first index; where the envelope does not yet suffice,
+the bounds are decided exactly on |u_n| and the scan steps once.  The
+non-real scan builds |u_n|^3 only where its bit length and that of B^n
+leave |u_n|^3 < B^n open.  The kernels call lucas_u_pair through this
+module's globals, so a wrapper set on brigkit.kernels.lucas_u_pair sees
+every call.
 """
 
 from __future__ import annotations
@@ -216,9 +219,9 @@ def _first_violation(A: int, B: int, P: int, Q: int, lo: int, hi: int,
     """First n in [lo, hi] where some bound k_n*|u_n| >= c*gamma^m fails, or
     -1 if none.  Requires A > 0, A^2 > 4B, lo >= 2.
 
-    Each bound is (k, e, c, off, a, b): m = n - off >= 0, k_n = k*2^(e*m),
-    and gamma = (a + sqrt(a^2 - 4b))/2, so gamma^m = (V_m + U_m*sqrt(d))/2
-    with (U_m, V_m) the Lucas pair of (a, b) and d = a^2 - 4b; U_m >= 0.
+    Each bound is a row (label, k, e, c, off, a, b) of real_bounds' form:
+    m = n - off, k_n = k*2^(e*m) and gamma^m = (V_m + U_m*sqrt(d))/2 from
+    the Lucas pair of (a, b), with U_m >= 0.  The label is not read here.
 
     At each n the envelope is tried first: for B != 0, alpha >= phi, and
     every bound has gamma <= 2^e*alpha, so k_n*l_n >= c*gamma^m at one n
@@ -234,7 +237,7 @@ def _first_violation(A: int, B: int, P: int, Q: int, lo: int, hi: int,
     if hi < lo:
         return -1
     state = []
-    for k, e, c, off, a, b in bounds:
+    for _, k, e, c, off, a, b in bounds:
         m = lo - off
         u, v = lucas_uv(a, b, m)
         state.append((k << e * m, e, c, v, u, a, a * a - 4 * b))
@@ -255,24 +258,33 @@ def _first_violation(A: int, B: int, P: int, Q: int, lo: int, hi: int,
     return -1
 
 
+def real_bounds(A: int, B: int, P: int, Q: int, far: bool) -> tuple:
+    """The far or the near real branch's two bounds as rows (label, k, e, c,
+    off, a, b), each k*2^(e*m)*|u_n| >= c*gamma^m with m = n - off and
+    gamma = (a + sqrt(a^2 - 4b))/2: alpha for (A, B), sqrt5 for (0, -5) and
+    phi for (1, -1).  See growth.check_real_growth for the bounds.
+    """
+    p, q = abs(P), abs(Q)
+    if far:
+        return (("alpha-halves", 1, 1, q, 2, A, B),
+                ("sqrt5-halves", 1, 1, q, 0, 0, -5))
+    return (("alpha-power", max(5 * p, 22 * q), 0, 1, 2, A, B),
+            ("golden-power", max(14 * p, 36 * q), 0, 1, 0, 1, -1))
+
+
+def lucas_bound(A: int, B: int) -> tuple:
+    """The Lucas growth bound as one real_bounds row: 2|U_n| >= alpha^(n-2)
+    for B < 0 and |U_n| >= alpha^(n-1) for 0 < 4B < A^2."""
+    if B < 0:
+        return ("double-u", 2, 0, 1, 2, A, B)
+    return ("u-alpha", 1, 0, 1, 1, A, B)
+
+
 def real_growth_scan(A: int, B: int, P: int, Q: int,
                      lo: int, hi: int, far: bool) -> int:
-    """First n in [lo, hi] violating the applicable real-case lower bounds,
-    or -1 if none.
-
-    Requires A > 0, A^2 > 4B, P != 0, Q != 0, lo >= 2.  For the far branch
-    the two checks are |u_n| >= |Q|*(alpha/2)^(n-2) and |u_n| >= |Q|*(sqrt5/2)^n;
-    for the near branch |u_n| >= alpha^(n-2)/max(5|P|, 22|Q|) and
-    |u_n| >= phi^n/max(14|P|, 36|Q|).  _first_violation decides them: one
-    envelope test usually proves both for every n >= lo at once.
-    """
-    absq = abs(Q)
-    if far:                  # 2^(n-2)|u_n| >= |Q|*alpha^(n-2), 2^n|u_n| >= |Q|*sqrt5^n
-        bounds = ((1, 1, absq, 2, A, B), (1, 1, absq, 0, 0, -5))
-    else:                    # k1*|u_n| >= alpha^(n-2), k2*|u_n| >= phi^n
-        bounds = ((max(5 * abs(P), 22 * absq), 0, 1, 2, A, B),
-                  (max(14 * abs(P), 36 * absq), 0, 1, 0, 1, -1))
-    return _first_violation(A, B, P, Q, lo, hi, bounds)
+    """First n in [lo, hi] violating the far or near real_bounds, or -1 if
+    none.  Requires A > 0, A^2 > 4B, P != 0, Q != 0, lo >= 2."""
+    return _first_violation(A, B, P, Q, lo, hi, real_bounds(A, B, P, Q, far))
 
 
 def nonreal_growth_scan(A: int, B: int, P: int, Q: int,
@@ -309,14 +321,12 @@ def nonreal_growth_scan(A: int, B: int, P: int, Q: int,
 
 
 def lucas_growth_scan(A: int, B: int, lo: int, hi: int) -> int:
-    """First n in [lo, hi] violating the Lucas growth bound, or -1.
+    """First n in [lo, hi] violating lucas_bound(A, B), or -1.
 
-    Requires A > 0, A^2 > 4B, lo >= 2.  For B < 0 the bound is
-    2|U_n| >= alpha^(n-2); for 0 < 4B < A^2 it is |U_n| >= alpha^(n-1).
-    U_n is u_n at (P, Q) = (0, 1), decided by _first_violation.
+    Requires A > 0, A^2 > 4B, lo >= 2.  U_n is u_n at (P, Q) = (0, 1),
+    decided by _first_violation.
     """
-    bound = (2, 0, 1, 2, A, B) if B < 0 else (1, 0, 1, 1, A, B)
-    return _first_violation(A, B, 0, 1, lo, hi, (bound,))
+    return _first_violation(A, B, 0, 1, lo, hi, (lucas_bound(A, B),))
 
 
 def backend_name() -> str:

@@ -48,10 +48,10 @@ from . import __version__, kernels
 from .core import Kind, SequenceParams, classify
 from .growth import (empirical_nonreal_threshold, height_sandwich_check,
                      nonreal_threshold_formula, ratio_height, real_case_branch,
-                     BranchKind, DegenerateInputError, HeightBoundError)
-from .logbounds import ceil_log_affine
+                     BranchKind, DegenerateInputError, HeightBoundError,
+                     DEFAULT_C_NONREAL_THRESHOLD)
 from .zeros import (AllZero, NoZero, PeriodicZeros, ZeroAt, ZeroTail,
-                    construct_zero_at, find_zero, normalized_for_bound,
+                    construct_zero_at, find_zero, _formula_bound,
                     ConstructionError, DEFAULT_C4)
 
 # The second-largest prime below 2^30 (the zero-scan kernel screens with the
@@ -86,7 +86,7 @@ class SweepConfig:
     q_range: tuple[int, int]
     n_horizon: int = 200
     c4: int = DEFAULT_C4
-    c5: Fraction = Fraction(50)
+    c5: Fraction = DEFAULT_C_NONREAL_THRESHOLD
     parallelism: int = 1
     output_path: str | None = None
     format: str = "json"
@@ -491,6 +491,7 @@ def _check_zero_family(a: int, b: int, pair_cls, cfg: SweepConfig,
     """Zero-at-k instances for k = 2..zero_k_max: found index, uniqueness up
     to uniqueness_horizon, and the logarithmic index bound."""
     family = []
+    real = pair_cls.kind is Kind.REAL
     for k in range(2, cfg.zero_k_max + 1):
         try:
             cp, cq = construct_zero_at(a, b, k)
@@ -501,16 +502,13 @@ def _check_zero_family(a: int, b: int, pair_cls, cfg: SweepConfig,
         result = find_zero(cparams, cfg.c4)
         frec["found_ok"] = isinstance(result, ZeroAt) and result.k == k
         frec["unique_ok"] = brute_force_zero_oracle(cparams, cfg.uniqueness_horizon) == [k]
-        normalized, _, _ = normalized_for_bound(cparams)
-        qn = max(abs(normalized.Q), 1)
+        qn, bound = _formula_bound(cparams, real)
         frec["q_normalized"] = str(qn)
-        if pair_cls.kind is Kind.REAL:
-            frec["bound_ok"] = k < ceil_log_affine(9, qn, 12)
-            if not frec["bound_ok"]:
+        frec["bound_ok"] = k < bound
+        if not frec["bound_ok"]:
+            if real:
                 found.append(_finding("assertion", "zero-bound-real", a, b, k=k))
-        elif pair_cls.kind is Kind.NONREAL:
-            frec["bound_ok"] = k < ceil_log_affine(10, max(qn, 2), 0)
-            if not frec["bound_ok"]:
+            else:
                 found.append(_finding("assertion" if k >= 50 else "informational",
                                       "zero-bound-nonreal", a, b, k=k))
         if not (frec["found_ok"] and frec["unique_ok"]):

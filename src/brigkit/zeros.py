@@ -113,12 +113,20 @@ def _search_bound(params: SequenceParams, cls: SequenceClass, c4_config: int,
         if override < 1:
             raise ValueError("bound override must be >= 1")
         return SearchBound(override, BoundBasis.OVERRIDE)
+    _, formula = _formula_bound(params, cls.kind is Kind.REAL)
+    if cls.kind is Kind.REAL:
+        return SearchBound(formula, BoundBasis.REAL)
+    return SearchBound(max(formula, c4_config), BoundBasis.NONREAL, c4_config)
+
+
+def _formula_bound(params: SequenceParams, real: bool) -> tuple[int, int]:
+    """(qn, ceil(9*ln(qn) + 12)) for real, else (qn, ceil(10*ln(max(qn, 2)))),
+    with qn = max(|Q|, 1) of the normalized params."""
     normalized, _, _ = normalized_for_bound(params)
     qn = max(abs(normalized.Q), 1)
-    if cls.kind is Kind.REAL:
-        return SearchBound(ceil_log_affine(9, qn, 12), BoundBasis.REAL)
-    formula = ceil_log_affine(10, max(qn, 2), 0)
-    return SearchBound(max(formula, c4_config), BoundBasis.NONREAL, c4_config)
+    if real:
+        return qn, ceil_log_affine(9, qn, 12)
+    return qn, ceil_log_affine(10, max(qn, 2), 0)
 
 
 def find_zero(params: SequenceParams, c4_config: int = DEFAULT_C4,

@@ -457,6 +457,8 @@ def test_margin_certificates_against_interval_oracle():
     reports = [check_real_growth(SequenceParams(7, 12, 1, 1), 15),
                check_real_growth(SequenceParams(3, 2, 1, 3), 90),
                check_real_growth(SequenceParams(3, -100, 1, 1), 14),
+               check_sharp_growth(SequenceParams(7, 12, 1, 1), 9),
+               check_sharp_growth(SequenceParams(3, -100, 1, 1), 14),
                check_sharp_growth(SequenceParams(3, -100, 1, 1), 15),
                check_sharp_growth(SequenceParams(10, 1, 1, 1), 20),
                check_nonreal_growth(SequenceParams(1, 2, 1, 1), 7)]
@@ -472,7 +474,27 @@ def test_margin_certificates_against_interval_oracle():
             else:
                 assert ((m.value > 0) - (m.value < 0)) == m.sign
             margins += 1
-    assert margins == 12
+    assert margins == 16
+
+
+def test_real_checkers_classify_once(monkeypatch):
+    """check_real_growth and check_sharp_growth classify their point once,
+    below and above the threshold, on both branches."""
+    calls = []
+
+    def counted(params):
+        calls.append(params)
+        return real_classify(params)
+
+    real_classify = brigkit.growth.classify
+    monkeypatch.setattr(brigkit.growth, "classify", counted)
+    for params, n in [(SequenceParams(7, 12, 1, 1), 5), (SequenceParams(7, 12, 1, 1), 15),
+                      (SequenceParams(3, 2, 1, 3), 50), (SequenceParams(3, 2, 1, 3), 90),
+                      (SequenceParams(3, -100, 1, 1), 15)]:
+        for check in (check_real_growth, check_sharp_growth):
+            calls.clear()
+            check(params, n)
+            assert calls == [params], (check.__name__, params, n)
 
 
 def test_sharp_far_negative_with_square_discriminant():

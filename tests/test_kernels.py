@@ -8,6 +8,7 @@ test-local referees that share no code with brigkit: exact squares in
 _first_violation, and decimal intervals in the forced-branch scans.
 """
 
+from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -15,7 +16,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from brigkit import SequenceParams, classify, kernels
 from brigkit.core import Kind
-from brigkit.growth import (BranchKind, check_lucas_growth,
+from brigkit.growth import (BranchKind, _bound_margins, check_lucas_growth,
                             check_nonreal_growth, check_real_growth,
                             real_case_branch)
 from brigkit.intutil import surd_sign
@@ -216,7 +217,10 @@ def test_screen_tables_are_keyed_on_the_prime(monkeypatch):
 @example(12, 3, 100, -1, 200)            # far branch, A - D < 1
 @example(60, 1, 999_999, -1, 200)        # far branch, alpha ~ 60
 def test_scan_agrees_with_per_index_checker_real(a, b, p, q, hi):
-    """Dual route: integer scan kernel vs per-index margin checker."""
+    """Dual route: the scan and the per-index checker share their rows,
+    kernels.real_bounds, but not their evaluators.  The scan decides the
+    rows through _first_violation's envelope and _at_least; the checker
+    builds one integer surd per row and index in growth._bound_margins."""
     params = SequenceParams(a, b, p, q)
     assume(classify(params).kind is Kind.REAL)
     br = real_case_branch(params)
@@ -294,9 +298,10 @@ def test_lucas_bound_margin_for_negative_b_is_exactly_two():
     smallest 2|U_n| / alpha^(n-2) is exactly 2, and only at n = 2 with
     A = 1, where U_2 = A = 1 = alpha^0.  So halving the constant (checking
     |U_n| >= alpha^(n-2)) turns no verdict in the box: the weakest point
-    only ties, and no witness here can catch that mutation.  The same exact
-    scan over A <= 40, B >= -60, n <= 200 finds the same minimum, again
-    only at A = 1, n = 2.
+    only ties, and no point here is a witness where c doubled flips a
+    verdict; test_scan_rows_are_pinned_at_their_smallest_ratio pins the
+    constant by that tie instead.  The same exact scan over A <= 40,
+    B >= -60, n <= 200 finds the same minimum, again only at A = 1, n = 2.
 
     |U_n| vs alpha^m is the sign of 2|U_n| - V_m - U_m*sqrt(delta), decided
     on exact integers."""
@@ -311,6 +316,58 @@ def test_lucas_bound_margin_for_negative_b_is_exactly_two():
                 if sign == 0:
                     ties.append((a, b, n))
     assert ties == [(1, -3, 2), (1, -2, 2), (1, -1, 2)]
+
+
+# The smallest ratio k*2^(e*m)*|u_n| / (c*gamma^m) of each of the scans' six
+# rows over the growth box (A in [1, 12], B in [-3, 3], 0 < |P|, |Q| <= 8,
+# n from the branch threshold to 200; Lucas rows from n = 2), found by a
+# float search over every point and index, the eight smallest points of
+# each row then re-evaluated at every index with 600 digits:
+#   alpha-halves  (1, -1, -6, 1), n = 7:  2^5*35/phi^5 = 2800*sqrt5 - 6160 = 100.990...
+#   sqrt5-halves  (1, -1, -6, 1), n = 7:  2^7*35/sqrt5^7 = 896*sqrt5/125 = 16.028...
+#   alpha-power   (5, -1, -5, 1), n = 18: 25*51872282415/alpha^16 = 4.6423...
+#   golden-power  (1, -1, -2, 1), n = 19: 36*987/phi^19 = 3.8006...
+#   double-u      (1, -3), n = 2:         2*1/alpha^0 = 2 exactly (also B = -2, -1)
+#   u-alpha       (12, 1), n = 2:         12/alpha = 72 - 12*sqrt35 = 1.0070...
+# Only u-alpha has a point where the row with c doubled flips a verdict.
+# The other five never fall below 2 in the box (double-u only ties), so no
+# point there can catch c doubled; each is pinned instead by a bracket
+# lo <= ratio < hi around its minimum, which catches c doubled or halved.
+SCAN_ROW_MINIMA = [
+    # (label, A, B, P, Q, n, lo, hi); P = 0, Q = 1 for the Lucas rows
+    ("alpha-halves", 1, -1, -6, 1, 7, Fraction(100), Fraction(101)),
+    ("sqrt5-halves", 1, -1, -6, 1, 7, Fraction(16), Fraction(161, 10)),
+    ("alpha-power", 5, -1, -5, 1, 18, Fraction(46, 10), Fraction(47, 10)),
+    ("golden-power", 1, -1, -2, 1, 19, Fraction(38, 10), Fraction(381, 100)),
+    ("double-u", 1, -3, 0, 1, 2, Fraction(2), Fraction(201, 100)),
+    ("u-alpha", 12, 1, 0, 1, 2, Fraction(1), Fraction(2)),
+]
+
+
+@pytest.mark.parametrize("label, a, b, p, q, n, lo, hi", SCAN_ROW_MINIMA,
+                         ids=[row[0] for row in SCAN_ROW_MINIMA])
+def test_scan_rows_are_pinned_at_their_smallest_ratio(label, a, b, p, q, n, lo, hi):
+    """The row with c scaled by lo holds at its point and with c scaled by
+    hi fails, in the scan's evaluator, in the checker's and in a decimal
+    interval referee that shares no code with brigkit."""
+    if p == 0:
+        rows = (kernels.lucas_bound(a, b),)
+    else:
+        br = real_case_branch(SequenceParams(a, b, p, q))
+        assert br.n_min <= n
+        rows = kernels.real_bounds(a, b, p, q, br.kind is BranchKind.FAR)
+    (row,) = [r for r in rows if r[0] == label]
+    _, k, e, c, off, ga, gb = row
+    m = n - off
+    x = abs(iter_terms(a, b, p, q, n)[n])
+    um, vm = iter_lucas_u(ga, gb, m)[m], iter_lucas_v(ga, gb, m)[m]
+    for scale, holds in ((lo, True), (hi, False)):
+        kk, cc = k * scale.denominator, c * scale.numerator
+        scaled = ((label, kk, e, cc, off, ga, gb),)
+        assert kernels._first_violation(a, b, p, q, n, n, scaled) == (-1 if holds else n)
+        assert _bound_margins(x, n, scaled)[0].holds == holds
+        sign = _decimal_sign(2 * (kk << e * m) * x - cc * vm, -cc * um, ga * ga - 4 * gb)
+        assert (sign >= 0) == holds, (scale, sign)
 
 
 def _first_violation(a, b, p, q, lo, hi, far):
