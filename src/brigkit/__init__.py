@@ -8,10 +8,8 @@ lower bounds.  All verdicts are integer/quadratic-surd exact; no floating
 point touches any decision.
 """
 
-from .core import (DegenerateInputError, Discriminant, Kind, Reason,
-                   SequenceClass, SequenceParams, classify, coeff_gcd,
-                   discriminant, normalize_gcd, reduce_d)
-from .exactnum import QuadElem, alpha_power
+from .core import (DegenerateInputError, Kind, Reason, SequenceClass,
+                   SequenceParams, classify, normalize_gcd, reduce_d)
 from .growth import (BranchKind, GrowthBranch, GrowthCase, GrowthReport,
                      HeightBoundError, Margin, RatioHeight, check_lucas_growth,
                      check_nonreal_growth, check_real_growth,
@@ -20,10 +18,9 @@ from .growth import (BranchKind, GrowthBranch, GrowthCase, GrowthReport,
                      ratio_height, real_case_branch)
 from .terms import (TermWindow, coeffs, gcd_consecutive_U, lucas_U, lucas_uv,
                     term_fast, term_iter, term_window)
-from .zeros import (AllZero, BoundBasis, ConstructionError,
-                    InvariantViolationError, NoZero, PeriodicZeros,
-                    SearchBound, ZeroAt, ZeroResult, ZeroTail,
-                    construct_zero_at, degenerate_zeros, find_zero,
-                    zero_family, zero_search_bound)
+from .zeros import (AllZero, ConstructionError, InvariantViolationError,
+                    NoZero, PeriodicZeros, SearchBound, ZeroAt, ZeroResult,
+                    ZeroTail, construct_zero_at, find_zero, zero_family,
+                    zero_search_bound)
 
 __version__ = "0.1.0"

@@ -67,7 +67,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_zero = sub.add_parser("zeros", help="decide whether some u_k = 0")
     _add_params(p_zero)
     p_zero.add_argument("--c4", type=int, default=DEFAULT_C4,
-                        help="assumed non-real small-index cutoff (default 10000)")
+                        help=f"assumed non-real small-index cutoff (default {DEFAULT_C4})")
     p_zero.add_argument("--json", action="store_true")
 
     p_mk = sub.add_parser("make-zero", help="initial values vanishing at index k")
@@ -125,8 +125,7 @@ def _zero_text(result) -> str:
         if result.assumes_c4 is not None:
             return (f"no zero up to {result.searched_up_to}, conclusive "
                     f"assuming c4 <= {result.assumes_c4}")
-        word = "conclusive" if result.conclusive else "inconclusive"
-        return f"no zero up to {result.searched_up_to}, {word}"
+        return f"no zero up to {result.searched_up_to}, conclusive"
     if isinstance(result, AllZero):
         return "all terms are zero"
     if isinstance(result, PeriodicZeros):

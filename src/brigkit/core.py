@@ -1,4 +1,4 @@
-"""Sequence parameters, discriminant, classification, and normalizations.
+"""Sequence parameters, classification, and normalizations.
 
 A sequence is the integer quadruple (A, B, P, Q) with u_0 = P, u_1 = Q and
 u_n = A*u_{n-1} - B*u_{n-2}.  Construction imposes no invariants: degenerate
@@ -13,7 +13,7 @@ import enum
 from dataclasses import dataclass
 from math import gcd, isqrt
 
-from .intutil import is_square, square_cofactor
+from .intutil import square_cofactor
 
 
 class DegenerateInputError(ValueError):
@@ -29,22 +29,6 @@ class SequenceParams:
 
     def __repr__(self):
         return f"SequenceParams(A={self.A}, B={self.B}, P={self.P}, Q={self.Q})"
-
-
-@dataclass(frozen=True)
-class Discriminant:
-    """delta = A^2 - 4B, with its exact square root when one exists."""
-
-    delta: int
-    is_square: bool
-    sqrt: int | None
-
-
-def discriminant(A: int, B: int) -> Discriminant:
-    delta = A * A - 4 * B
-    if delta >= 0 and is_square(delta):
-        return Discriminant(delta, True, isqrt(delta))
-    return Discriminant(delta, False, None)
 
 
 class Kind(enum.Enum):
@@ -159,9 +143,3 @@ def normalize_gcd(params: SequenceParams) -> tuple[SequenceParams, int]:
         return params, 1
     return SequenceParams(params.A, params.B, P // s, Q // s), s
 
-
-def coeff_gcd(params: SequenceParams) -> int:
-    """gcd(|A|, |B|), the quantity governing gcds of consecutive Lucas terms."""
-    if params.A == 0 and params.B == 0:
-        raise ValueError("A and B must not both be zero")
-    return gcd(params.A, params.B)

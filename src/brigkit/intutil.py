@@ -1,4 +1,4 @@
-"""Integer helpers: surd signs, perfect squares, valuations, and factoring.
+"""Integer helpers: surd signs, valuations, and factoring.
 
 The only factorization ever performed is of gcd(A, B) when extracting the
 largest d with d | A and d^2 | B; A and B themselves are never factored.
@@ -6,7 +6,7 @@ largest d with d | A and d^2 | B; A and B themselves are never factored.
 
 from __future__ import annotations
 
-from math import gcd, isqrt
+from math import gcd
 
 
 def surd_sign(x: int, y: int, d: int) -> int:
@@ -28,10 +28,6 @@ def surd_sign(x: int, y: int, d: int) -> int:
     else:
         return (y > 0) - (y < 0) if d else 0
     return (big > small) - (big < small)
-
-
-def is_square(n: int) -> bool:
-    return n >= 0 and isqrt(n) ** 2 == n
 
 
 def valuation(n: int, p: int) -> int:

@@ -367,7 +367,7 @@ def _check_pair(job) -> dict:
     found: list[dict] = []
     pair_cls = classify(SequenceParams(a, b, 0, 1))
     lucas_ok = None
-    if "lucas" in cfg.checks and pair_cls.kind is Kind.REAL and a != 0:
+    if "lucas" in cfg.checks and pair_cls.kind is Kind.REAL:
         lucas_ok = _check_lucas(a, b, cfg, found)
 
     records = []
@@ -393,7 +393,7 @@ def _check_pair(job) -> dict:
             records.append(rec)
 
     family = []
-    if "zero-family" in cfg.checks and not pair_cls.is_degenerate and a != 0 and b != 0:
+    if "zero-family" in cfg.checks and not pair_cls.is_degenerate:
         family = _check_zero_family(a, b, pair_cls, cfg, found)
     return {"records": records, "family": family, "discrepancies": found}
 

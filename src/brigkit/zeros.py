@@ -11,7 +11,6 @@ equal-roots case, or a geometric tail that cannot vanish.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, field
 from math import gcd
 from typing import Union
@@ -39,6 +38,9 @@ class ZeroAt:
 
 @dataclass(frozen=True)
 class NoZero:
+    """No zero at any index.  conclusive is always true; it stays because
+    the sweep report has a key for it."""
+
     searched_up_to: int
     conclusive: bool
     assumes_c4: int | None = None  # non-real case: conclusive if c4 <= this
@@ -70,17 +72,10 @@ class ZeroTail:
 ZeroResult = Union[ZeroAt, NoZero, PeriodicZeros, AllZero, ZeroTail]
 
 
-class BoundBasis(enum.Enum):
-    REAL = "real"
-    NONREAL = "non-real"
-    OVERRIDE = "override"
-
-
 @dataclass(frozen=True)
 class SearchBound:
     n_max: int
-    basis: BoundBasis
-    c4: int | None = None
+    c4: int | None = None  # None for a real sequence
 
 
 def normalized_for_bound(params: SequenceParams) -> tuple[SequenceParams, int, int]:
@@ -91,32 +86,27 @@ def normalized_for_bound(params: SequenceParams) -> tuple[SequenceParams, int, i
     return normalized, d, s
 
 
-def zero_search_bound(params: SequenceParams, c4_config: int = DEFAULT_C4,
-                      override: int | None = None) -> SearchBound:
-    """Scan bound for the single possible zero index.
+def zero_search_bound(params: SequenceParams,
+                      c4_config: int = DEFAULT_C4) -> SearchBound:
+    """Scan bound SearchBound(n_max, c4) for the single possible zero index.
 
-    Real case: ceil(9*ln|Q| + 12); non-real: max(ceil(10*ln(max(|Q|, 2))),
-    c4_config), both on the normalized Q.  Ceilings are exact via certified
-    rational log enclosures; no floating point enters the decision.  An
-    explicit override replaces the formula entirely (and is the caller's
-    responsibility).
+    Real case: n_max = ceil(9*ln|Q| + 12) and c4 = None; non-real: n_max =
+    max(ceil(10*ln(max(|Q|, 2))), c4_config) and c4 = c4_config, both on the
+    normalized Q.  Ceilings are exact via certified rational log enclosures;
+    no floating point enters the decision.
     """
-    return _search_bound(params, classify(params), c4_config, override)
+    return _search_bound(params, classify(params), c4_config)
 
 
-def _search_bound(params: SequenceParams, cls: SequenceClass, c4_config: int,
-                  override: int | None) -> SearchBound:
+def _search_bound(params: SequenceParams, cls: SequenceClass,
+                  c4_config: int) -> SearchBound:
     """zero_search_bound for a sequence already classified as cls."""
     if cls.is_degenerate:
         raise DegenerateInputError(f"no search bound for {cls.label()}")
-    if override is not None:
-        if override < 1:
-            raise ValueError("bound override must be >= 1")
-        return SearchBound(override, BoundBasis.OVERRIDE)
     _, formula = _formula_bound(params, cls.kind is Kind.REAL)
     if cls.kind is Kind.REAL:
-        return SearchBound(formula, BoundBasis.REAL)
-    return SearchBound(max(formula, c4_config), BoundBasis.NONREAL, c4_config)
+        return SearchBound(formula)
+    return SearchBound(max(formula, c4_config), c4_config)
 
 
 def _formula_bound(params: SequenceParams, real: bool) -> tuple[int, int]:
@@ -129,8 +119,7 @@ def _formula_bound(params: SequenceParams, real: bool) -> tuple[int, int]:
     return qn, ceil_log_affine(10, max(qn, 2), 0)
 
 
-def find_zero(params: SequenceParams, c4_config: int = DEFAULT_C4,
-              override: int | None = None) -> ZeroResult:
+def find_zero(params: SequenceParams, c4_config: int = DEFAULT_C4) -> ZeroResult:
     """Decide the zero set of the sequence.
 
     Non-degenerate: scans k = 0..n_max and keeps scanning after a hit; a
@@ -138,8 +127,9 @@ def find_zero(params: SequenceParams, c4_config: int = DEFAULT_C4,
     InvariantViolationError.  The trivial P = 0 / Q = 0 cases are answered
     directly (u_0 resp. u_1 vanish, and the rest of the sequence is a
     nonzero multiple of U_n, which has no zero at n >= 1 when
-    non-degenerate).  Degenerate inputs are dispatched to degenerate_zeros.
-    A NoZero under an overridden bound is never conclusive.
+    non-degenerate).  With no hit up to SearchBound(n_max, c4), the answer
+    is NoZero(n_max, conclusive=True, assumes_c4=c4).  Degenerate inputs get
+    their class's exact zero set.
     """
     cls = classify(params)
     if cls.is_degenerate:
@@ -148,29 +138,20 @@ def find_zero(params: SequenceParams, c4_config: int = DEFAULT_C4,
         return ZeroAt(0)
     if params.Q == 0:
         return ZeroAt(1)
-    bound = _search_bound(params, cls, c4_config, override)
+    bound = _search_bound(params, cls, c4_config)
     hits = kernels.zero_scan(params.A, params.B, params.P, params.Q, 0, bound.n_max)
     if len(hits) > 1:
         raise InvariantViolationError(
             f"multiple zeros {hits} for non-degenerate {params}")
     if hits:
         return ZeroAt(hits[0])
-    if bound.basis is BoundBasis.OVERRIDE:
-        return NoZero(bound.n_max, conclusive=False)
-    if bound.basis is BoundBasis.REAL:
-        return NoZero(bound.n_max, conclusive=True)
     return NoZero(bound.n_max, conclusive=True, assumes_c4=bound.c4)
 
 
-def degenerate_zeros(params: SequenceParams) -> ZeroResult:
-    """Exact zero sets for every degenerate class."""
-    return _degenerate_zeros(params, classify(params))
-
-
 def _degenerate_zeros(params: SequenceParams, cls: SequenceClass) -> ZeroResult:
-    """degenerate_zeros for a sequence already classified as cls."""
+    """Exact zero set of a sequence classified as the degenerate class cls."""
     if not cls.is_degenerate:
-        raise DegenerateInputError("degenerate_zeros needs a degenerate sequence")
+        raise DegenerateInputError(f"no degenerate zero set for {cls.label()}")
     A, B, P, Q = params.A, params.B, params.P, params.Q
 
     if cls.reason is Reason.BOTH_INITIAL_ZERO:

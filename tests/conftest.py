@@ -59,6 +59,20 @@ def interval_sign(r: Fraction, s: Fraction, delta: int, prec: int = 120):
     return None
 
 
+def decimal_sign(x, y, d):
+    """Sign of x + y*sqrt(d) by interval_sign, widening the decimal
+    precision until the interval decides.  Past the digits of x and y*y*d
+    every operation but the square root is exact, so a tie (possible only
+    for square d or y = 0) comes out as 0."""
+    prec = len(str(abs(x) + y * y * d)) + 30
+    while True:
+        sign = interval_sign(x, y, d, prec)
+        if sign is not None:
+            return sign
+        assert prec < 20_000, (x, y, d)
+        prec *= 2
+
+
 @pytest.fixture(scope="session")
 def small_nondegenerate_pairs():
     """Non-degenerate (A, B) with |A|, |B| <= 6."""

@@ -1,9 +1,11 @@
+from types import ModuleType
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import brigkit
 from brigkit import SequenceParams
-from brigkit.core import (Kind, Reason, classify, coeff_gcd, discriminant,
-                          normalize_gcd, reduce_d)
+from brigkit.core import Kind, Reason, classify, normalize_gcd, reduce_d
 
 from conftest import iter_terms
 
@@ -109,21 +111,6 @@ def test_normalize_gcd_examples():
         normalize_gcd(SequenceParams(1, 1, 0, 0))
 
 
-def test_coeff_gcd():
-    assert coeff_gcd(SequenceParams(15, 10, 1, 1)) == 5
-    assert coeff_gcd(SequenceParams(1, -1, 1, 1)) == 1
-    assert coeff_gcd(SequenceParams(3, 6, 1, 1)) == 3
-    with pytest.raises(ValueError):
-        coeff_gcd(SequenceParams(0, 0, 1, 1))
-
-
-def test_discriminant():
-    d = discriminant(3, 2)
-    assert (d.delta, d.is_square, d.sqrt) == (1, True, 1)
-    d = discriminant(1, -1)
-    assert (d.delta, d.is_square, d.sqrt) == (5, False, None)
-
-
 @settings(max_examples=200)
 @given(small, small, small, small)
 def test_flip_transform_preserves_class(a, b, p, q):
@@ -157,3 +144,25 @@ def test_classification_matches_behavior(a, b, p, q):
             seq[n + m] * seq[r] == seq[r + m] * seq[n]
             for n in range(12) for r in range(12))
         assert not ratio_constant
+
+
+PUBLIC_NAMES = {
+    "AllZero", "BranchKind", "ConstructionError", "DegenerateInputError",
+    "GrowthBranch", "GrowthCase", "GrowthReport", "HeightBoundError",
+    "InvariantViolationError", "Kind", "Margin", "NoZero", "PeriodicZeros",
+    "RatioHeight", "Reason", "SearchBound", "SequenceClass", "SequenceParams",
+    "TermWindow", "ZeroAt", "ZeroResult", "ZeroTail", "check_lucas_growth",
+    "check_nonreal_growth", "check_real_growth", "check_sharp_growth",
+    "classify", "coeffs", "construct_zero_at", "empirical_nonreal_threshold",
+    "find_zero", "gcd_consecutive_U", "height_sandwich_check", "lucas_U",
+    "lucas_uv", "nonreal_threshold_formula", "normalize_gcd", "ratio_height",
+    "real_case_branch", "reduce_d", "term_fast", "term_iter", "term_window",
+    "zero_family", "zero_search_bound",
+}
+
+
+def test_public_surface_is_pinned():
+    """Every root export is a deliberate edit of PUBLIC_NAMES."""
+    names = {name for name, value in vars(brigkit).items()
+             if not name.startswith("_") and not isinstance(value, ModuleType)}
+    assert names == PUBLIC_NAMES

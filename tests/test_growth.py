@@ -8,14 +8,16 @@ import pytest
 import brigkit
 from brigkit import SequenceParams, classify
 from brigkit.core import DegenerateInputError, Kind
-from brigkit.growth import (BranchKind, GrowthCase, check_lucas_growth,
-                            check_nonreal_growth, check_real_growth,
-                            check_sharp_growth, empirical_nonreal_threshold,
-                            height_sandwich_check, nonreal_threshold_formula,
-                            ratio_height, real_case_branch)
+from brigkit.growth import (BranchKind, GrowthCase, _bound_margins,
+                            check_lucas_growth, check_nonreal_growth,
+                            check_real_growth, check_sharp_growth,
+                            empirical_nonreal_threshold, height_sandwich_check,
+                            nonreal_threshold_formula, ratio_height,
+                            real_case_branch)
 from brigkit.logbounds import ceil_log_affine
 
-from conftest import interval_sign, iter_terms
+from conftest import (decimal_sign, interval_sign, iter_lucas_u, iter_lucas_v,
+                      iter_terms)
 
 
 # -- branch decision ----------------------------------------------------------
@@ -466,7 +468,7 @@ def test_margin_certificates_against_interval_oracle():
     for rep in reports:
         assert rep.applicable
         for m in rep.margins:
-            if isinstance(m.value, brigkit.QuadElem):
+            if isinstance(m.value, brigkit.exactnum.QuadElem):
                 v = m.value
                 assert v.den > 0
                 s = interval_sign(Fraction(v.x, v.den), Fraction(v.y, v.den), v.d)
@@ -530,6 +532,67 @@ def test_sharp_bounds_broad_deterministic_sweep():
                         assert rep.bound_holds, (params, n, rep.regime)
                         checked += 1
     assert checked > 5000
+
+
+# The smallest ratio k*2^(e*m)*|u_n| / (c*gamma^m) of each of
+# check_sharp_growth's ten rows over the growth box (A in [-12, 12], B in
+# [-3, 3], 0 < |P|, |Q| <= 8, n from the row's threshold to 200).  A < 0
+# adds nothing: the checker flips it to (|A|, B, P, -Q) with the same |u_n|.
+# A float search located candidates; a decimal search of every point and
+# index at 60 digits picked the witnesses, and one at 450 digits the two
+# rows whose ratio tends to a limit:
+#   eleven-a-halves       (3, 2, -3, -1), n = 7:   2^6*251/(11*3^6) = 2.0032...
+#   seven-three-halves    (3, 2, -3, -1), n = 7:   2^7*251/(7*3^7) = 2.0986...
+#   alpha-linear          (1, -3, -7, 3), n = 200: 1.30277563773199464656...,
+#                         falling on even n to (sqrt13 - 1)/2
+#   golden-three-fifths   (1, -1, -5, 1), n = 200: 1.55792069291691202086...,
+#                         falling on even n to (25 - 7*sqrt5)/6
+#   half-n-a-d-halves     (1, -2, -3, 1), n = 5:   2^4*19/(5*3^3) = 304/135
+#   sqrt5-fourteen-fifths (1, -1, -5, 1), n = 5:   5*2^5*10/(14*sqrt5^5) = 2.0444...
+#   alpha-over-5p         (3, -3, -5, 4), n = 20:  3.4158...
+#   golden-over-14p       (1, -1, -3, 1), n = 13:  16.042...
+#   alpha-over-22q        (2, -2, -4, 3), n = 26:  3.7372...
+#   golden-over-36q       (1, -1, -2, 1), n = 19:  36*987/phi^19 = 3.8006...
+# Only alpha-linear and golden-three-fifths fall below 2, so only they have a
+# point where c doubled flips a verdict, and none has one for c halved.  The
+# bracket lo <= ratio < hi with hi <= 2*lo catches both.
+SHARP_ROW_MINIMA = [
+    # (label, A, B, P, Q, n, lo, hi)
+    ("eleven-a-halves", 3, 2, -3, -1, 7, Fraction(2), Fraction(201, 100)),
+    ("seven-three-halves", 3, 2, -3, -1, 7, Fraction(209, 100), Fraction(21, 10)),
+    ("alpha-linear", 1, -3, -7, 3, 200, Fraction(13, 10), Fraction(131, 100)),
+    ("golden-three-fifths", 1, -1, -5, 1, 200, Fraction(155, 100), Fraction(156, 100)),
+    ("half-n-a-d-halves", 1, -2, -3, 1, 5, Fraction(225, 100), Fraction(226, 100)),
+    ("sqrt5-fourteen-fifths", 1, -1, -5, 1, 5, Fraction(204, 100), Fraction(205, 100)),
+    ("alpha-over-5p", 3, -3, -5, 4, 20, Fraction(341, 100), Fraction(342, 100)),
+    ("golden-over-14p", 1, -1, -3, 1, 13, Fraction(16), Fraction(161, 10)),
+    ("alpha-over-22q", 2, -2, -4, 3, 26, Fraction(373, 100), Fraction(374, 100)),
+    ("golden-over-36q", 1, -1, -2, 1, 19, Fraction(38, 10), Fraction(381, 100)),
+]
+
+
+@pytest.mark.parametrize("label, a, b, p, q, n, lo, hi", SHARP_ROW_MINIMA,
+                         ids=[row[0] for row in SHARP_ROW_MINIMA])
+def test_sharp_rows_are_pinned_at_their_smallest_ratio(monkeypatch, label, a, b,
+                                                       p, q, n, lo, hi):
+    """The row check_sharp_growth declares at the witness, with c scaled by
+    lo, holds and with c scaled by hi fails, in _bound_margins and in a
+    decimal interval referee that shares no code with brigkit."""
+    monkeypatch.setattr(brigkit.growth, "_real_report",
+                        lambda params, n, regime, t, rows: (t, rows))
+    threshold, rows = check_sharp_growth(SequenceParams(a, b, p, q), n)
+    assert threshold <= n <= 200
+    (row,) = [r for r in rows if r[0] == label]
+    _, k, e, c, off, ga, gb = row
+    m = n - off
+    x = abs(iter_terms(a, b, p, q, n)[n])
+    um, vm = iter_lucas_u(ga, gb, m)[m], iter_lucas_v(ga, gb, m)[m]
+    for scale, holds in ((lo, True), (hi, False)):
+        kk, cc = k * scale.denominator, c * scale.numerator
+        scaled = ((label, kk, e, cc, off, ga, gb),)
+        assert _bound_margins(x, n, scaled)[0].holds == holds
+        sign = decimal_sign(2 * (kk << e * m) * x - cc * vm, -cc * um, ga * ga - 4 * gb)
+        assert (sign >= 0) == holds, (scale, sign)
 
 
 # -- integer sign decisions against the interval referee ----------------------

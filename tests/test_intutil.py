@@ -3,8 +3,8 @@ from math import isqrt
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from brigkit.intutil import (is_probable_prime, is_square, prime_factors,
-                             square_cofactor, surd_sign, valuation)
+from brigkit.intutil import (is_probable_prime, prime_factors, square_cofactor,
+                             surd_sign, valuation)
 
 from conftest import interval_sign
 
@@ -54,12 +54,6 @@ def test_prime_factors_large_semiprime():
     n = 1_000_003 * 999_983
     fac = prime_factors(n)
     assert fac == {999_983: 1, 1_000_003: 1}
-
-
-@given(st.integers(0, 10 ** 9))
-def test_is_square(n):
-    import math
-    assert is_square(n) == (math.isqrt(n) ** 2 == n)
 
 
 def test_valuation():

@@ -20,7 +20,7 @@ from brigkit.growth import (BranchKind, _bound_margins, check_lucas_growth,
                             check_nonreal_growth, check_real_growth,
                             real_case_branch)
 from brigkit.intutil import surd_sign
-from conftest import interval_sign, iter_lucas_u, iter_lucas_v, iter_terms
+from conftest import decimal_sign, iter_lucas_u, iter_lucas_v, iter_terms
 
 small = st.integers(-10, 10)
 coeff_a = st.integers(1, 60)
@@ -366,7 +366,7 @@ def test_scan_rows_are_pinned_at_their_smallest_ratio(label, a, b, p, q, n, lo, 
         scaled = ((label, kk, e, cc, off, ga, gb),)
         assert kernels._first_violation(a, b, p, q, n, n, scaled) == (-1 if holds else n)
         assert _bound_margins(x, n, scaled)[0].holds == holds
-        sign = _decimal_sign(2 * (kk << e * m) * x - cc * vm, -cc * um, ga * ga - 4 * gb)
+        sign = decimal_sign(2 * (kk << e * m) * x - cc * vm, -cc * um, ga * ga - 4 * gb)
         assert (sign >= 0) == holds, (scale, sign)
 
 
@@ -446,20 +446,6 @@ def test_real_scan_fallback_is_reached_and_exact(monkeypatch):
     assert verdicts.count(1) > 0 and verdicts.count(-1) > 0
 
 
-def _decimal_sign(x, y, d):
-    """Sign of x + y*sqrt(d) by conftest.interval_sign, widening the decimal
-    precision until the interval decides.  Past the digits of x and y*y*d
-    every operation but the square root is exact, so a tie (possible only
-    for square d or y = 0) comes out as 0."""
-    prec = len(str(abs(x) + y * y * d)) + 30
-    while True:
-        sign = interval_sign(x, y, d, prec)
-        if sign is not None:
-            return sign
-        assert prec < 20_000, (x, y, d)
-        prec *= 2
-
-
 def _first_violation_by_intervals(a, b, p, q, hi, far):
     """First n in [2, hi] where a bound of the real scan's branch fails, or
     -1: each bound evaluated at its own index by decimal intervals on the
@@ -478,13 +464,13 @@ def _first_violation_by_intervals(a, b, p, q, hi, far):
     for n in range(2, hi + 1):
         x = abs(u[n])
         if far:
-            signs = (_decimal_sign(2 ** (n - 1) * x - absq * lv[n - 2],
-                                   -absq * lu[n - 2], delta),
-                     _decimal_sign(2 ** n * x, -absq * 5 ** (n // 2), 5) if n % 2
-                     else _decimal_sign(2 ** n * x - absq * 5 ** (n // 2), 0, 5))
+            signs = (decimal_sign(2 ** (n - 1) * x - absq * lv[n - 2],
+                                  -absq * lu[n - 2], delta),
+                     decimal_sign(2 ** n * x, -absq * 5 ** (n // 2), 5) if n % 2
+                     else decimal_sign(2 ** n * x - absq * 5 ** (n // 2), 0, 5))
         else:
-            signs = (_decimal_sign(2 * k1 * x - lv[n - 2], -lu[n - 2], delta),
-                     _decimal_sign(2 * k2 * x - fv[n], -fu[n], 5))
+            signs = (decimal_sign(2 * k1 * x - lv[n - 2], -lu[n - 2], delta),
+                     decimal_sign(2 * k2 * x - fv[n], -fu[n], 5))
         if min(signs) < 0:
             return n
     return -1

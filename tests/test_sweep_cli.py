@@ -378,6 +378,12 @@ def test_cli_zeros(capsys):
     assert "(mod 6)" in capsys.readouterr().out
 
 
+def test_cli_zeros_c4_help_names_the_default(monkeypatch, capsys):
+    monkeypatch.setattr("brigkit.cli.DEFAULT_C4", 4321)
+    assert main(["zeros", "--help"]) == 0
+    assert "(default 4321)" in capsys.readouterr().out
+
+
 def test_cli_make_zero(capsys):
     assert main(["make-zero", "--a", "3", "--b", "6", "--k", "5"]) == 0
     assert capsys.readouterr().out.strip() == "P=-5 Q=-6"

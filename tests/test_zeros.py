@@ -4,10 +4,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from brigkit import SequenceParams, classify
-from brigkit.zeros import (AllZero, BoundBasis, ConstructionError,
-                           InvariantViolationError, NoZero, PeriodicZeros,
-                           ZeroAt, ZeroTail, construct_zero_at,
-                           degenerate_zeros, find_zero, normalized_for_bound,
+from brigkit.zeros import (AllZero, ConstructionError, InvariantViolationError,
+                           NoZero, PeriodicZeros, ZeroAt, ZeroTail,
+                           construct_zero_at, find_zero, normalized_for_bound,
                            zero_family, zero_search_bound)
 
 from conftest import iter_terms
@@ -23,7 +22,7 @@ def oracle_zeros(a, b, p, q, horizon):
 def test_bound_real_example():
     sb = zero_search_bound(SequenceParams(3, 2, 7, 6))
     assert sb == zero_search_bound(SequenceParams(3, 2, 7, 6), 999)
-    assert (sb.n_max, sb.basis) == (29, BoundBasis.REAL)
+    assert (sb.n_max, sb.c4) == (29, None)
 
 
 def test_bound_real_unit_q():
@@ -37,7 +36,7 @@ def test_bound_real_unit_q():
 
 def test_bound_nonreal_example():
     sb = zero_search_bound(SequenceParams(3, 6, 5, 6), 1000)
-    assert (sb.n_max, sb.basis, sb.c4) == (1000, BoundBasis.NONREAL, 1000)
+    assert (sb.n_max, sb.c4) == (1000, 1000)
     # with a tiny c4 the formula term takes over: ceil(10*ln 6) = 18
     sb = zero_search_bound(SequenceParams(3, 6, 5, 6), 5)
     assert sb.n_max == 18
@@ -103,10 +102,8 @@ def test_find_zero_agrees_with_oracle(a, b, p, q):
 # -- degenerate zero sets -----------------------------------------------------
 
 def test_periodic_example():
-    res = degenerate_zeros(SequenceParams(1, 1, 1, 1))
-    assert res == PeriodicZeros(6, frozenset({2, 5}))
     # u_0..u_5 = 1,1,0,-1,-1,0: zeros at n = 2 (mod 3), i.e. {2,5} mod 6
-    assert find_zero(SequenceParams(1, 1, 1, 1)) == res
+    assert find_zero(SequenceParams(1, 1, 1, 1)) == PeriodicZeros(6, frozenset({2, 5}))
 
 
 def test_periodic_residues_match_iteration():
@@ -115,7 +112,7 @@ def test_periodic_residues_match_iteration():
             cls = classify(SequenceParams(a, b, p, q))
             if not cls.is_degenerate or cls.ratio_period is None:
                 continue
-            res = degenerate_zeros(SequenceParams(a, b, p, q))
+            res = find_zero(SequenceParams(a, b, p, q))
             hits = set(oracle_zeros(a, b, p, q, 48))
             if isinstance(res, PeriodicZeros):
                 want = {n for n in range(49) if n % res.modulus in res.residues}
@@ -126,16 +123,15 @@ def test_periodic_residues_match_iteration():
 
 
 def test_equal_roots_cases():
-    assert degenerate_zeros(SequenceParams(2, 1, 3, 2)) == ZeroAt(3)
     assert find_zero(SequenceParams(2, 1, 3, 2)) == ZeroAt(3)
     # no integer solution: u_n = (n+1) * 2^n for (4, 4, 1, 4)
-    assert isinstance(degenerate_zeros(SequenceParams(4, 4, 1, 4)), NoZero)
+    assert isinstance(find_zero(SequenceParams(4, 4, 1, 4)), NoZero)
     # P = 0: zero at index 0
-    assert degenerate_zeros(SequenceParams(2, 1, 0, 5)) == ZeroAt(0)
+    assert find_zero(SequenceParams(2, 1, 0, 5)) == ZeroAt(0)
     # Q = 0: zero at index 1
-    assert degenerate_zeros(SequenceParams(2, 1, 5, 0)) == ZeroAt(1)
+    assert find_zero(SequenceParams(2, 1, 5, 0)) == ZeroAt(1)
     # 2Q = PA: the linear equation degenerates, no zero anywhere
-    assert isinstance(degenerate_zeros(SequenceParams(2, 1, 3, 3)), NoZero)
+    assert isinstance(find_zero(SequenceParams(2, 1, 3, 3)), NoZero)
 
 
 def test_equal_roots_match_oracle():
@@ -143,7 +139,7 @@ def test_equal_roots_match_oracle():
         for q in range(-6, 7):
             if p == 0 and q == 0:
                 continue
-            res = degenerate_zeros(SequenceParams(2, 1, p, q))
+            res = find_zero(SequenceParams(2, 1, p, q))
             hits = oracle_zeros(2, 1, p, q, 200)
             if isinstance(res, ZeroAt) and res.k <= 200:
                 assert hits == [res.k]
@@ -154,17 +150,17 @@ def test_equal_roots_match_oracle():
 
 
 def test_b_zero_cases():
-    assert isinstance(degenerate_zeros(SequenceParams(5, 0, 1, 3)), NoZero)
-    assert degenerate_zeros(SequenceParams(5, 0, 0, 3)) == ZeroAt(0)
-    assert degenerate_zeros(SequenceParams(5, 0, 2, 0)) == ZeroTail(1)
-    assert degenerate_zeros(SequenceParams(0, 0, 2, 3)) == ZeroTail(2)
-    assert degenerate_zeros(SequenceParams(0, 0, 0, 3)) == ZeroTail(2, frozenset({0}))
-    assert degenerate_zeros(SequenceParams(0, 0, 0, 0)) == AllZero()
+    assert isinstance(find_zero(SequenceParams(5, 0, 1, 3)), NoZero)
+    assert find_zero(SequenceParams(5, 0, 0, 3)) == ZeroAt(0)
+    assert find_zero(SequenceParams(5, 0, 2, 0)) == ZeroTail(1)
+    assert find_zero(SequenceParams(0, 0, 2, 3)) == ZeroTail(2)
+    assert find_zero(SequenceParams(0, 0, 0, 3)) == ZeroTail(2, frozenset({0}))
+    assert find_zero(SequenceParams(0, 0, 0, 0)) == AllZero()
 
 
 def test_b_zero_tail_matches_oracle():
     for a, b, p, q in [(5, 0, 2, 0), (0, 0, 2, 3), (0, 0, 0, 3)]:
-        res = degenerate_zeros(SequenceParams(a, b, p, q))
+        res = find_zero(SequenceParams(a, b, p, q))
         hits = set(oracle_zeros(a, b, p, q, 40))
         want = {n for n in range(41)
                 if n in res.prefix or n >= res.start}
@@ -174,14 +170,9 @@ def test_b_zero_tail_matches_oracle():
 def test_coefficient_zero_no_zeros():
     # (3,2,7,14): u_n = 7*2^n; (3,2,7,7): u_n = 7 for all n
     for q in (14, 7):
-        res = degenerate_zeros(SequenceParams(3, 2, 7, q))
+        res = find_zero(SequenceParams(3, 2, 7, q))
         assert isinstance(res, NoZero) and res.conclusive
         assert oracle_zeros(3, 2, 7, q, 100) == []
-
-
-def test_degenerate_zeros_rejects_nondegenerate():
-    with pytest.raises(Exception):
-        degenerate_zeros(SequenceParams(3, 6, 5, 6))
 
 
 # -- constructors -------------------------------------------------------------
@@ -269,7 +260,7 @@ def test_tightness_family_short():
 
 def test_equal_roots_large_index_solution():
     # 2kQ = (k-1)PA solved exactly without iteration: k may be huge
-    res = degenerate_zeros(SequenceParams(2, 1, 1000001, 1000000))
+    res = find_zero(SequenceParams(2, 1, 1000001, 1000000))
     assert res == ZeroAt(1000001)
     # verify algebraically: u_k = k*Q - (k-1)*P for A = 2, B = 1 (h = 1)
     k = 1000001
@@ -288,19 +279,6 @@ def test_conditional_no_zero_semantics():
         assert res_small.searched_up_to < k
     # the default cutoff finds it
     assert find_zero(params) == ZeroAt(k)
-
-
-def test_user_override_bound():
-    params = SequenceParams(1, -1, 1, 2)
-    sb = zero_search_bound(params, override=500)
-    assert (sb.n_max, sb.basis.value, sb.c4) == (500, "override", None)
-    res = find_zero(params, override=500)
-    assert res == NoZero(500, conclusive=False)
-    # an override short of the zero index still finds nothing, inconclusively
-    assert find_zero(SequenceParams(3, 6, 5, 6), override=3) == NoZero(3, False)
-    assert find_zero(SequenceParams(3, 6, 5, 6), override=10) == ZeroAt(5)
-    with pytest.raises(ValueError):
-        zero_search_bound(params, override=0)
 
 
 # (A, B) with d > 1, where d is the largest integer with d | A and d^2 | B.
