@@ -172,7 +172,9 @@ def cmd_zeros(args) -> int:
     result = find_zero(params, args.c4)
     payload = zero_result_dict(result)
     text = _zero_text(result)
-    if isinstance(result, ZeroAt) and not classify(params).is_degenerate:
+    # find_zero answers P = 0 and Q = 0 without a scan
+    if (isinstance(result, ZeroAt) and params.P and params.Q
+            and not classify(params).is_degenerate):
         bound = zero_search_bound(params, args.c4)
         payload["searched"] = str(bound.n_max)
         text += f" (searched up to {bound.n_max}, "

@@ -6,15 +6,16 @@ decided by one intutil.surd_sign on integers with denominators cleared, so
 no rationals and no floating point appear in any loop.  The zero scan first
 screens residues modulo a prime: a baby-step giant-step search finds the
 last index whose residue is 0 in O(sqrt(hi)) giant steps, with one baby
-table per (A, B) mod the prime.  A nonzero residue proves u_n != 0, so the
-screen only rules indices out, and the exact recurrence, unchanged, decides
-every index it leaves.  The real and Lucas growth scans share one loop,
-_first_violation, over the bounds that real_bounds and lucas_bound declare
-as rows k*2^(e*m)*|u_n| >= c*gamma^m (the per-index checkers of
-brigkit.growth evaluate the same rows).  The loop is built on the closed
-form sqrt(delta)*u_n = (Q - P*beta)*alpha^n - (Q - P*alpha)*beta^n: its
-lower envelope l_n, with l_n/alpha^n never decreasing, turns one exact test
-at one index into a proof of a bound at every later index, so a scan
+table per (A, B) mod the prime, and one modular inverse per table and per
+scan (_keys batch-inverts each list of points).  A nonzero residue proves
+u_n != 0, so the screen only rules indices out, and the exact recurrence,
+unchanged, decides every index it leaves.  The real and Lucas growth scans
+share one loop, _first_violation, over the bounds that real_bounds and
+lucas_bound declare as rows k*2^(e*m)*|u_n| >= c*gamma^m (the per-index
+checkers of brigkit.growth evaluate the same rows).  The loop is built on
+the closed form sqrt(delta)*u_n = (Q - P*beta)*alpha^n - (Q - P*alpha)*beta^n:
+its lower envelope l_n, with l_n/alpha^n never decreasing, turns one exact
+test at one index into a proof of a bound at every later index, so a scan
 usually ends at its first index; where the envelope does not yet suffice,
 the bounds are decided exactly on |u_n| and the scan steps once.  The
 non-real scan builds |u_n|^3 only where its bit length and that of B^n
@@ -31,6 +32,10 @@ from .intutil import surd_sign
 
 # Largest prime below 2^30: every residue is a single CPython digit.
 _SCREEN_PRIME = 1_073_741_789
+
+# The largest hi zero_scan accepts; a larger one raises before the screen
+# allocates its table.
+_MAX_SCAN = (1 << 32) - 1
 
 
 def lucas_u_pair(A: int, B: int, n: int) -> tuple[int, int]:
@@ -102,6 +107,8 @@ def zero_scan(A: int, B: int, P: int, Q: int, lo: int, hi: int) -> list[int]:
     never decides a verdict, and a false residue hit only makes the exact
     pass longer.
     """
+    if hi > _MAX_SCAN:
+        raise ValueError(f"zero scan bound {hi} exceeds 2^32 - 1")
     p = _SCREEN_PRIME
     last = _last_residue_zero(A % p, B % p, P % p, Q % p, hi, p)
 
@@ -128,12 +135,14 @@ def _last_residue_zero(a: int, b: int, x: int, z: int, hi: int, p: int) -> int:
     1 <= i <= ceil(hi/m) and 0 <= j < m covers [1, ceil(hi/m)*m] once, and
     u_n = 0 exactly when G^i s_0 is the point N^j (0 : 1), G = N^m: the baby
     table of _baby_steps maps each point's key to its j, and the giant steps
-    look G^i s_0 up in it.  A point's key is x/z mod p, or p for z = 0.
-    m is a power of two near sqrt(hi), so a call takes about sqrt(hi) giant
-    steps and the table is shared by every (P, Q) of a pair.  The cases
-    outside that argument have closed forms: s_0 = 0 makes every residue 0;
-    b = 0 gives u_n = a^(n-1)*z for n >= 1; and when (0 : 1) returns to
-    itself after T < m steps, the zeros are the n = -j (mod T).
+    look G^i s_0 up in it.  A point's key is x/z mod p, or p for z = 0; the
+    giant steps' keys come from one _keys call and the table's from another,
+    so the screen makes one modular inverse per table and per scan.  m is a
+    power of two near sqrt(hi), so a call takes about sqrt(hi) giant steps
+    and the table is shared by every (P, Q) of a pair.  The cases outside
+    that argument have closed forms: s_0 = 0 makes every residue 0; b = 0
+    gives u_n = a^(n-1)*z for n >= 1; and when (0 : 1) returns to itself
+    after T < m steps, the zeros are the n = -j (mod T).
     """
     if hi < 1:
         return 0
@@ -151,10 +160,14 @@ def _last_residue_zero(a: int, b: int, x: int, z: int, hi: int, p: int) -> int:
             return 0
         return max(hi - (hi + j) % period, 0)
     g11, g12, g21, g22 = giant
-    last = 0
-    for i in range(1, -(-hi // m) + 1):
+    xs, zs = [], []
+    for _ in range(-(-hi // m)):
         x, z = (g11 * x + g12 * z) % p, (g21 * x + g22 * z) % p
-        j = table.get(x * pow(z, -1, p) % p if z else p)
+        xs.append(x)
+        zs.append(z)
+    last = 0
+    for i, key in enumerate(_keys(xs, zs, p), 1):
+        j = table.get(key)
         if j is not None and i * m - j <= hi:
             last = i * m - j
     return last
@@ -167,21 +180,49 @@ def _baby_steps(a: int, b: int, p: int, m: int):
 
     N^j (0, 1) = (U_j, U_{j+1}), the Lucas sequence mod p.  table maps the
     key of each point N^j (0 : 1) to j.  N permutes the projective line, so
-    the orbit of (0 : 1) is a cycle, and the first repeated key is that of
-    (0 : 1) itself, at j = T, the cycle length: period is T when T < m and
-    then the table holds j < T and G is None; otherwise period is 0, the
-    table holds j < m, and G = N^m = [[U_{m+1} - a*U_m, U_m],
-    [-b*U_m, U_{m+1}]] mod p.
+    the orbit of (0 : 1) is a cycle, and it first returns to (0 : 1), whose
+    key is 0, at j = T, the cycle length: the first j >= 1 with U_j = 0.
+    period is T when T < m and then the table holds j < T and G is None;
+    otherwise period is 0, the table holds j < m, and G = N^m =
+    [[U_{m+1} - a*U_m, U_m], [-b*U_m, U_{m+1}]] mod p.  The keys come from
+    one _keys call, so the screen makes one modular inverse per table and
+    per scan.
     """
-    table = {}
+    xs, zs = [], []
     x, z = 0, 1
     for j in range(m):
-        key = x * pow(z, -1, p) % p if z else p
-        if key in table:
-            return table, j, None
-        table[key] = j
+        if j and not x:
+            return dict(zip(_keys(xs, zs, p), range(j))), j, None
+        xs.append(x)
+        zs.append(z)
         x, z = z, (a * z - b * x) % p
-    return table, 0, ((z - a * x) % p, x, -b * x % p, z)
+    return (dict(zip(_keys(xs, zs, p), range(m))), 0,
+            ((z - a * x) % p, x, -b * x % p, z))
+
+
+def _keys(xs: list[int], zs: list[int], p: int) -> list[int]:
+    """The key of each point (xs[i] : zs[i]), for residues mod the prime p:
+    xs[i]/zs[i] mod p, or p where zs[i] = 0.
+
+    One modular inverse for the whole list (Montgomery's batch inversion):
+    prods[i] is the product of the nonzero zs before i, and a backward pass
+    walks inv through the inverses of those products, so inv * prods[i] is
+    the inverse of zs[i].
+    """
+    prods = []
+    acc = 1
+    for z in zs:
+        prods.append(acc)
+        if z:
+            acc = acc * z % p
+    inv = pow(acc, -1, p)
+    keys = [p] * len(zs)
+    for i in range(len(zs) - 1, -1, -1):
+        z = zs[i]
+        if z:
+            keys[i] = xs[i] * inv * prods[i] % p
+            inv = inv * z % p
+    return keys
 
 
 def _envelope(A: int, B: int, P: int, Q: int, n: int,

@@ -102,6 +102,9 @@ class SweepConfig:
                 raise SweepConfigError(f"empty {name}: [{lo}, {hi}]")
         if self.n_horizon < 2:
             raise SweepConfigError("n_horizon must be >= 2")
+        if not 1 <= self.c4 <= kernels._MAX_SCAN:
+            raise SweepConfigError(
+                f"c4 must be in [1, {kernels._MAX_SCAN}], got {self.c4}")
         if self.parallelism < 1:
             raise SweepConfigError("parallelism must be >= 1")
         if self.format not in ("json", "csv"):

@@ -93,7 +93,8 @@ def zero_search_bound(params: SequenceParams,
     Real case: n_max = ceil(9*ln|Q| + 12) and c4 = None; non-real: n_max =
     max(ceil(10*ln(max(|Q|, 2))), c4_config) and c4 = c4_config, both on the
     normalized Q.  Ceilings are exact via certified rational log enclosures;
-    no floating point enters the decision.
+    no floating point enters the decision.  A non-real c4_config below 1
+    raises ValueError.
     """
     return _search_bound(params, classify(params), c4_config)
 
@@ -103,10 +104,18 @@ def _search_bound(params: SequenceParams, cls: SequenceClass,
     """zero_search_bound for a sequence already classified as cls."""
     if cls.is_degenerate:
         raise DegenerateInputError(f"no search bound for {cls.label()}")
+    _check_c4(cls, c4_config)
     _, formula = _formula_bound(params, cls.kind is Kind.REAL)
     if cls.kind is Kind.REAL:
         return SearchBound(formula)
     return SearchBound(max(formula, c4_config), c4_config)
+
+
+def _check_c4(cls: SequenceClass, c4_config: int) -> None:
+    """Raise ValueError if cls is non-real and c4_config is not a positive
+    index; a real sequence never reads c4."""
+    if cls.kind is Kind.NONREAL and c4_config < 1:
+        raise ValueError(f"c4 must be >= 1, got {c4_config}")
 
 
 def _formula_bound(params: SequenceParams, real: bool) -> tuple[int, int]:
@@ -129,11 +138,14 @@ def find_zero(params: SequenceParams, c4_config: int = DEFAULT_C4) -> ZeroResult
     nonzero multiple of U_n, which has no zero at n >= 1 when
     non-degenerate).  With no hit up to SearchBound(n_max, c4), the answer
     is NoZero(n_max, conclusive=True, assumes_c4=c4).  Degenerate inputs get
-    their class's exact zero set.
+    their class's exact zero set.  A non-real c4_config below 1 raises
+    ValueError, also where P = 0 or Q = 0 leaves it unread; so does a search
+    bound past the scan's limit, before the scan allocates anything.
     """
     cls = classify(params)
     if cls.is_degenerate:
         return _degenerate_zeros(params, cls)
+    _check_c4(cls, c4_config)
     if params.P == 0:
         return ZeroAt(0)
     if params.Q == 0:

@@ -202,6 +202,73 @@ def test_screen_tables_are_keyed_on_the_prime(monkeypatch):
         assert kernels.zero_scan(3, 5, p, q + 1, 0, 100) == [], prime
 
 
+def _per_point_keys(xs, zs, p):
+    return [x * pow(z, -1, p) % p if z else p for x, z in zip(xs, zs)]
+
+
+@pytest.mark.parametrize("p", [2, 7, 101, PRIME])
+@pytest.mark.parametrize("xs, zs", [
+    ([3, 5, 6, 1], [0, 4, 2, 3]),           # zero z first
+    ([3, 5, 6, 1], [1, 4, 0, 3]),           # in the middle
+    ([3, 5, 6, 1], [1, 4, 2, 0]),           # last
+    ([3, 0, 6, 1], [0, 0, 0, 0]),           # everywhere
+    ([0, 5, 6, 0, 4], [6, 0, 5, 0, 3]),     # two, and x = 0 beside them
+    ([5], [3]),                              # a single point
+    ([5], [0]),
+    ([], []),
+])
+def test_keys_match_per_point_inverses(xs, zs, p):
+    xs, zs = [x % p for x in xs], [z % p for z in zs]
+    assert kernels._keys(xs, zs, p) == _per_point_keys(xs, zs, p)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([2, 3, 7, 13, 101, PRIME]).flatmap(
+    lambda p: st.tuples(st.just(p), st.lists(st.tuples(
+        st.integers(0, p - 1), st.one_of(st.just(0), st.integers(0, p - 1))),
+        max_size=40))))
+def test_keys_match_per_point_inverses_on_random_lists(case):
+    p, points = case
+    xs, zs = [x for x, _ in points], [z for _, z in points]
+    assert kernels._keys(xs, zs, p) == _per_point_keys(xs, zs, p)
+
+
+def test_screen_makes_one_inverse_per_table_and_per_scan(monkeypatch):
+    """The baby table and each scan's giant steps batch-invert their points:
+    a cold screen to hi = 10^4 makes two modular inverses, and a second point
+    of the same (A, B), whose table is cached, makes one."""
+    calls = []
+
+    def counting_pow(*args):
+        calls.append(args)
+        return pow(*args)
+
+    monkeypatch.setattr(kernels, "pow", counting_pow, raising=False)
+    kernels._baby_steps.cache_clear()
+    first = kernels._last_residue_zero(3, 5, 7, 11, 10_000, PRIME)
+    assert len(calls) <= 2
+    calls.clear()
+    second = kernels._last_residue_zero(3, 5, 8, 13, 10_000, PRIME)
+    assert len(calls) == 1
+    monkeypatch.undo()
+    assert (first, second) == (
+        _plain_last_residue_zero(3, 5, 7, 11, 10_000, PRIME),
+        _plain_last_residue_zero(3, 5, 8, 13, 10_000, PRIME))
+
+
+def test_zero_scan_refuses_a_bound_past_its_limit(monkeypatch):
+    """hi above _MAX_SCAN raises before the screen builds a table; hi at the
+    limit reaches the screen (stubbed here, so no big scan starts)."""
+    def no_screen(*args):
+        raise AssertionError("the screen ran")
+
+    monkeypatch.setattr(kernels, "_last_residue_zero", no_screen)
+    with pytest.raises(ValueError, match="exceeds"):
+        kernels.zero_scan(1, 2, 1, 1, 0, kernels._MAX_SCAN + 1)
+    monkeypatch.setattr(kernels, "_last_residue_zero", lambda *args: 0)
+    assert kernels.zero_scan(1, 2, 1, 1, 0, kernels._MAX_SCAN) == []
+
+
 # hi=None scans lo..lo+40; the examples with hi=200 run to the sweep's
 # horizon, where the terms are hundreds of bits long.
 @settings(max_examples=150, deadline=None)

@@ -262,6 +262,20 @@ def test_config_validation():
     assert cfg.c5 == Fraction(50) and cfg.checks == ("growth",)
 
 
+@pytest.mark.parametrize("c4", [0, -5, kernels._MAX_SCAN + 1])
+def test_config_rejects_a_c4_outside_the_scan_range(c4):
+    with pytest.raises(SweepConfigError, match="c4"):
+        SweepConfig(a_range=(1, 1), b_range=(1, 1), p_range=(1, 1),
+                    q_range=(1, 1), c4=c4).validate()
+
+
+def test_config_accepts_c4_at_the_scan_limit():
+    SweepConfig(a_range=(1, 1), b_range=(1, 1), p_range=(1, 1),
+                q_range=(1, 1), c4=1).validate()
+    SweepConfig(a_range=(1, 1), b_range=(1, 1), p_range=(1, 1),
+                q_range=(1, 1), c4=kernels._MAX_SCAN).validate()
+
+
 def test_small_sweep_clean(small_report):
     report, violations = small_report
     assert violations == 0 == assertion_count(report)
@@ -376,6 +390,45 @@ def test_cli_zeros(capsys):
     assert "no zero up to 19, conclusive" in capsys.readouterr().out
     assert main(["zeros", "--a", "1", "--b", "1", "--p", "1", "--q", "1"]) == 0
     assert "(mod 6)" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv, text, payload", [
+    # P = 0 and Q = 0 are answered without a scan: no search is claimed
+    (["--a", "3", "--b", "2", "--p", "0", "--q", "5"],
+     "zero at k=0", {"kind": "zero-at", "k": "0"}),
+    (["--a", "3", "--b", "2", "--p", "5", "--q", "0"],
+     "zero at k=1", {"kind": "zero-at", "k": "1"}),
+    # (31, 30) is construct_zero_at(3, 2, 5): a scanned zero keeps its suffix
+    (["--a", "3", "--b", "2", "--p", "31", "--q", "30"],
+     "zero at k=5 (searched up to 43, conclusive)",
+     {"kind": "zero-at", "k": "5", "searched": "43"}),
+    (["--a", "3", "--b", "6", "--p", "5", "--q", "6", "--c4", "1000"],
+     "zero at k=5 (searched up to 1000, conclusive assuming c4 <= 1000)",
+     {"kind": "zero-at", "k": "5", "searched": "1000"}),
+])
+def test_cli_zeros_claims_a_search_only_where_it_scanned(capsys, argv, text,
+                                                        payload):
+    assert main(["zeros", *argv]) == 0
+    assert capsys.readouterr().out.strip() == text
+    assert main(["zeros", *argv, "--json"]) == 0
+    assert json.loads(capsys.readouterr().out) == payload
+
+
+def test_cli_rejects_a_bad_c4(monkeypatch, capsys):
+    """Both commands exit 1 on a c4 below 1 or past the scan limit, and no
+    screen starts."""
+    def no_screen(*args):
+        raise AssertionError("the screen ran")
+
+    monkeypatch.setattr(kernels, "_last_residue_zero", no_screen)
+    box = ["--a-range", "1:1", "--b-range", "2:2", "--p-range", "1:1",
+           "--q-range", "1:1"]
+    for c4 in ("-5", "0", str(kernels._MAX_SCAN + 1)):
+        assert main(["zeros", "--a", "1", "--b", "2", "--p", "1", "--q", "1",
+                     "--c4", c4]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert main(["sweep", *box, "--c4", c4]) == 1
+        assert capsys.readouterr().err.startswith("error: c4 must be in")
 
 
 def test_cli_zeros_c4_help_names_the_default(monkeypatch, capsys):

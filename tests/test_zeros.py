@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from brigkit import SequenceParams, classify
+from brigkit import SequenceParams, classify, kernels
 from brigkit.zeros import (AllZero, ConstructionError, InvariantViolationError,
                            NoZero, PeriodicZeros, ZeroAt, ZeroTail,
                            construct_zero_at, find_zero, normalized_for_bound,
@@ -40,6 +40,31 @@ def test_bound_nonreal_example():
     # with a tiny c4 the formula term takes over: ceil(10*ln 6) = 18
     sb = zero_search_bound(SequenceParams(3, 6, 5, 6), 5)
     assert sb.n_max == 18
+
+
+@pytest.mark.parametrize("c4", [0, -5])
+def test_nonreal_c4_below_one_is_refused(c4):
+    nonreal = SequenceParams(1, 2, 1, 1)
+    with pytest.raises(ValueError, match="c4"):
+        zero_search_bound(nonreal, c4)
+    with pytest.raises(ValueError, match="c4"):
+        find_zero(nonreal, c4)
+    # also where P = 0 or Q = 0 answers without reading c4
+    for params in (SequenceParams(1, 2, 0, 1), SequenceParams(1, 2, 1, 0)):
+        with pytest.raises(ValueError, match="c4"):
+            find_zero(params, c4)
+    # a real sequence never reads c4
+    assert find_zero(SequenceParams(1, -1, 1, 2), c4) == NoZero(19, conclusive=True)
+    assert zero_search_bound(SequenceParams(1, -1, 1, 2), c4).n_max == 19
+
+
+def test_nonreal_c4_past_the_scan_limit_is_refused_before_the_screen(monkeypatch):
+    def no_screen(*args):
+        raise AssertionError("the screen ran")
+
+    monkeypatch.setattr(kernels, "_last_residue_zero", no_screen)
+    with pytest.raises(ValueError, match="exceeds"):
+        find_zero(SequenceParams(1, 2, 1, 1), kernels._MAX_SCAN + 1)
 
 
 def test_bound_uses_normalized_q():
