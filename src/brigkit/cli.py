@@ -25,8 +25,8 @@ from .sweep import (SweepConfigError, config_from_dict, render_csv,
                     render_json, run_sweep, write_report, zero_result_dict)
 from .terms import term_fast, term_iter
 from .zeros import (AllZero, InvariantViolationError, NoZero, PeriodicZeros,
-                    ZeroAt, ZeroTail, construct_zero_at, find_zero,
-                    zero_family, zero_search_bound, DEFAULT_C4)
+                    ZeroAt, ZeroTail, construct_zero_at, zero_family,
+                    _find_zero, DEFAULT_C4)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -168,14 +168,11 @@ def cmd_term(args) -> int:
 
 
 def cmd_zeros(args) -> int:
-    params = _params(args)
-    result = find_zero(params, args.c4)
+    result, bound = _find_zero(_params(args), args.c4)
     payload = zero_result_dict(result)
     text = _zero_text(result)
-    # find_zero answers P = 0 and Q = 0 without a scan
-    if (isinstance(result, ZeroAt) and params.P and params.Q
-            and not classify(params).is_degenerate):
-        bound = zero_search_bound(params, args.c4)
+    # bound is None where no scan ran: degenerate, P = 0 or Q = 0
+    if isinstance(result, ZeroAt) and bound is not None:
         payload["searched"] = str(bound.n_max)
         text += f" (searched up to {bound.n_max}, "
         text += ("conclusive)" if bound.c4 is None

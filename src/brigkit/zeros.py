@@ -142,22 +142,29 @@ def find_zero(params: SequenceParams, c4_config: int = DEFAULT_C4) -> ZeroResult
     ValueError, also where P = 0 or Q = 0 leaves it unread; so does a search
     bound past the scan's limit, before the scan allocates anything.
     """
+    return _find_zero(params, c4_config)[0]
+
+
+def _find_zero(params: SequenceParams,
+               c4_config: int) -> tuple[ZeroResult, SearchBound | None]:
+    """find_zero's result and the bound its scan searched up to, or None
+    where it answered without a scan."""
     cls = classify(params)
     if cls.is_degenerate:
-        return _degenerate_zeros(params, cls)
+        return _degenerate_zeros(params, cls), None
     _check_c4(cls, c4_config)
     if params.P == 0:
-        return ZeroAt(0)
+        return ZeroAt(0), None
     if params.Q == 0:
-        return ZeroAt(1)
+        return ZeroAt(1), None
     bound = _search_bound(params, cls, c4_config)
     hits = kernels.zero_scan(params.A, params.B, params.P, params.Q, 0, bound.n_max)
     if len(hits) > 1:
         raise InvariantViolationError(
             f"multiple zeros {hits} for non-degenerate {params}")
     if hits:
-        return ZeroAt(hits[0])
-    return NoZero(bound.n_max, conclusive=True, assumes_c4=bound.c4)
+        return ZeroAt(hits[0]), bound
+    return NoZero(bound.n_max, conclusive=True, assumes_c4=bound.c4), bound
 
 
 def _degenerate_zeros(params: SequenceParams, cls: SequenceClass) -> ZeroResult:

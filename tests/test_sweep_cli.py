@@ -77,6 +77,47 @@ def test_oracle_matches_plain_recurrence_on_degenerate_grid(monkeypatch, prime):
 
 
 ORACLE_PRIME = sweep_mod._ORACLE_PRIME
+STRIDE = sweep_mod._STRIDE
+
+
+def zero_at(a, b, k):
+    """(U_k, B*U_{k-1}): initial values whose sequence vanishes at k."""
+    u = iter_terms(a, b, 0, 1, k)
+    return u[k], b * u[k - 1]
+
+
+@pytest.mark.parametrize("prime", [None, 2, 3, 7, 13, 101])
+def test_oracle_matches_plain_recurrence_around_stride_boundaries(monkeypatch,
+                                                                  prime):
+    """The oracle against conftest's recurrence at every horizon next to the
+    first two stride boundaries, asked in an order that grows each pair's
+    table by one stride, then by two, then from the state those growths
+    left.  The small primes have orbits shorter than a stride, so keys
+    repeat; A or B = 0 mod p gives points at infinity and (0 : 0);
+    (P, Q) = (0, 0) mod p vanishes at every index; and constructed zeros sit
+    at indices = 0 and = S - 1 mod S."""
+    if prime is not None:
+        monkeypatch.setattr(sweep_mod, "_ORACLE_PRIME", prime)
+    m, s = sweep_mod._ORACLE_PRIME, STRIDE
+    horizons = [s + 1, 0, 2 * s + 1, s - 1, 3 * s, 1, 2 * s, 7 * s + 3, s,
+                2 * s - 1]
+    for a in (-2, -1, 0, 1, 3, m):
+        for b in (-3, -1, 0, 1, 2, m):
+            points = [(p, q) for p in range(-1, 3) for q in range(-1, 3)]
+            points += [(m, -m), (2 * m, m), (m, 1), (1, m)]
+            if b:
+                points += [zero_at(a, b, k) for k in (s - 1, s, 2 * s - 1, 2 * s)]
+            sweep_mod._zero_table.cache_clear()
+            for p, q in points:
+                terms = iter_terms(a, b, p, q, max(horizons))
+                params = SequenceParams(a, b, p, q)
+                for horizon in horizons:
+                    expected = [k for k, u in enumerate(terms[:horizon + 1])
+                                if u == 0]
+                    assert brute_force_zero_oracle(params, horizon) == expected, \
+                        (params, horizon)
+
+
 oracle_coeff = st.one_of(st.integers(-60, 60),
                          st.integers(-2, 2).map(lambda c: c * ORACLE_PRIME))
 oracle_initial = st.one_of(st.integers(-2 ** 80, 2 ** 80),
@@ -116,6 +157,14 @@ def oracle_queries(draw):
 @example((ORACLE_PRIME, 0, [(1, 2, 50), (0, 3, 10), (4, 0, 60)]))
 @example((0, ORACLE_PRIME, [(1, 0, 120), (1, 1, 60), (0, 1, 121)]))
 @example((0, 0, [(5, 7, 80), (0, 0, 3)]))
+# zeros at S and 2S - 1 (= 0 and S - 1 mod S), asked at and beside the
+# boundaries, the last asked past the table's last stride
+@example((3, 2, [(*zero_at(3, 2, STRIDE), STRIDE), (*zero_at(3, 2, STRIDE), STRIDE - 1),
+                 (*zero_at(3, 2, 2 * STRIDE - 1), 2 * STRIDE - 1),
+                 (*zero_at(3, 2, 2 * STRIDE - 1), 2 * STRIDE + 1)]))
+@example((1, 2, [(*zero_at(1, 2, 2 * STRIDE), 2 * STRIDE + 1),
+                 (*zero_at(1, 2, 2 * STRIDE), 2 * STRIDE), (0, ORACLE_PRIME, STRIDE),
+                 (*zero_at(1, 2, STRIDE - 1), 3 * STRIDE)]))
 @example((ORACLE_PRIME, -ORACLE_PRIME, [(1, 1, 200), (0, 1, 400), (2, 0, 399)]))
 # U of (1, 1) and of (-1, 1) repeats every 6 and every 3 terms, so every key
 # repeats: the first growth files single indices, the regrowth turns them into
@@ -136,13 +185,14 @@ def test_oracle_table_matches_plain_recurrence(case):
 
 
 def test_oracle_table_is_small_and_cached():
-    """A bounded cache keyed on the residues of (A, B) and on the prime; a
-    horizon past the table grows it to at least twice its size, and every
-    index decided is filed once.  The table keeps its index and never the
-    terms: at most 128 bytes per index on a 10,000-index table.  A horizon
-    past 2^32 - 1 raises before the table allocates anything."""
+    """A bounded cache keyed on the residues of (A, B) and on the prime; the
+    table files one entry per stride of S indices, a horizon past its last
+    stride grows it to at least twice its size, and every stride is filed
+    once.  The table keeps its index and never the terms: at most 128 bytes
+    per stride on a 10,000-index table.  A horizon past 2^32 - 1 raises
+    before the table allocates anything."""
     assert sweep_mod._zero_table.cache_info().maxsize is not None
-    m = ORACLE_PRIME
+    m, s = ORACLE_PRIME, STRIDE
 
     def filed(table):
         return sum(1 if type(v) is int else len(v) for v in table.index.values())
@@ -152,12 +202,16 @@ def test_oracle_table_is_small_and_cached():
         brute_force_zero_oracle(SequenceParams(a, b, 1, 1), 2000)
         table = sweep_mod._zero_table(a % m, b % m, m)
         assert sweep_mod._zero_table.cache_info().hits == 1
-        assert (table.hi, filed(table)) == (2000, 2000)
-        brute_force_zero_oracle(SequenceParams(a + m, b - m, 2, 3), 2001)
+        assert (table.top, filed(table)) == (2000 // s, 2000 // s)
+        # up to the last index before the next stride, the table suffices
+        brute_force_zero_oracle(SequenceParams(a + m, b - m, 2, 3),
+                                2000 // s * s + s - 1)
         assert sweep_mod._zero_table(a % m, b % m, m) is table
-        assert (table.hi, filed(table)) == (4000, 4000)
+        assert (table.top, filed(table)) == (2000 // s, 2000 // s)
+        brute_force_zero_oracle(SequenceParams(a, b, 2, 3), 2000 // s * s + s)
+        assert (table.top, filed(table)) == (2 * (2000 // s), 2 * (2000 // s))
         brute_force_zero_oracle(SequenceParams(a, b, 1, 1), 9000)
-        assert (table.hi, filed(table)) == (9000, 9000)
+        assert (table.top, filed(table)) == (9000 // s, 9000 // s)
 
     sweep_mod._zero_table.cache_clear()
     tracemalloc.start()
@@ -171,10 +225,10 @@ def test_oracle_table_is_small_and_cached():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert retained <= 128 * 10_000
+    assert retained <= 128 * -(-10_000 // s)
     assert peak < 64 * 1024
     table = sweep_mod._zero_table(3, 2, m)
-    assert (table.hi, table.index) == (0, {})
+    assert (table.top, table.index) == (0, {})
     sweep_mod._zero_table.cache_clear()
 
 
@@ -236,6 +290,8 @@ def test_oracle_names_nothing_from_the_kernels():
     codes = [sweep_mod.brute_force_zero_oracle.__code__,
              sweep_mod._zero_table.__wrapped__.__code__,
              *(f.__code__ for f in table_methods)]
+    assert ({"_ORACLE_PRIME", "_STRIDE", "_MAX_HORIZON"}
+            <= set().union(*map(_code_names, codes)))
     for code in codes:
         names = _code_names(code)
         assert not names & (own | {"kernels"}), code.co_name
@@ -274,6 +330,40 @@ def test_config_accepts_c4_at_the_scan_limit():
                 q_range=(1, 1), c4=1).validate()
     SweepConfig(a_range=(1, 1), b_range=(1, 1), p_range=(1, 1),
                 q_range=(1, 1), c4=kernels._MAX_SCAN).validate()
+
+
+@pytest.mark.parametrize("field, value", [
+    # run over this box, each value fakes assertion-grade discrepancies: 7
+    # zero-oracle (-5), 24 or 1 zero-family (-3, 24), and an internal error
+    # per pair (2^33)
+    ("oracle_floor", -5), ("oracle_floor", 2 ** 33),
+    ("uniqueness_horizon", -3), ("uniqueness_horizon", 24),
+    ("uniqueness_horizon", 2 ** 33),
+])
+def test_config_rejects_oracle_horizons_that_fake_discrepancies(
+        monkeypatch, tmp_path, capsys, field, value):
+    box = {"a_range": [1, 1], "b_range": [3, 3], "p_range": [-3, 3],
+           "q_range": [-3, 3]}
+    message = f"{field} must be in"
+    with pytest.raises(SweepConfigError, match=message):
+        config_from_dict({**box, field: value})
+
+    def no_sweep(cfg):
+        raise AssertionError("the sweep ran")
+
+    monkeypatch.setattr("brigkit.cli.run_sweep", no_sweep)
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps({**box, field: value}))
+    assert main(["sweep", "--config", str(cfgfile)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {message}")
+
+
+def test_config_accepts_oracle_horizons_at_their_limits():
+    box = dict(a_range=(1, 1), b_range=(1, 1), p_range=(1, 1), q_range=(1, 1))
+    top = sweep_mod._MAX_HORIZON
+    for floor, unique in [(0, 25), (top, top)]:
+        SweepConfig(**box, oracle_floor=floor, uniqueness_horizon=unique).validate()
+    SweepConfig(**box, zero_k_max=1, uniqueness_horizon=1).validate()
 
 
 def test_small_sweep_clean(small_report):
@@ -405,13 +495,29 @@ def test_cli_zeros(capsys):
     (["--a", "3", "--b", "6", "--p", "5", "--q", "6", "--c4", "1000"],
      "zero at k=5 (searched up to 1000, conclusive assuming c4 <= 1000)",
      {"kind": "zero-at", "k": "5", "searched": "1000"}),
+    (["--a", "1", "--b", "-1", "--p", "1", "--q", "2"],
+     "no zero up to 19, conclusive",
+     {"kind": "no-zero", "searched": "19", "conclusive": True}),
 ])
-def test_cli_zeros_claims_a_search_only_where_it_scanned(capsys, argv, text,
-                                                        payload):
+def test_cli_zeros_claims_a_search_only_where_it_scanned(monkeypatch, capsys,
+                                                        argv, text, payload):
+    """The CLI prints what find_zero decided, and normalizes the sequence
+    for its search bound once per run, only where it scanned."""
+    import brigkit.zeros as zeros_mod
+    real, calls = zeros_mod.normalized_for_bound, []
+
+    def counting(params):
+        calls.append(params)
+        return real(params)
+
+    monkeypatch.setattr(zeros_mod, "normalized_for_bound", counting)
+    scanned = "searched" in payload
     assert main(["zeros", *argv]) == 0
     assert capsys.readouterr().out.strip() == text
+    assert len(calls) == scanned
     assert main(["zeros", *argv, "--json"]) == 0
     assert json.loads(capsys.readouterr().out) == payload
+    assert len(calls) == 2 * scanned
 
 
 def test_cli_rejects_a_bad_c4(monkeypatch, capsys):
