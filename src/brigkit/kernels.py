@@ -3,25 +3,37 @@
 Everything here is plain integer arithmetic: comparisons against powers of
 roots use Lucas-pair representations, and a bound with a surd in it is
 decided by one intutil.surd_sign on integers with denominators cleared, so
-no rationals and no floating point appear in any loop.  The zero scan first
-screens residues modulo a prime: a baby-step giant-step search finds the
-last index whose residue is 0 in O(sqrt(hi)) giant steps, with one baby
-table per (A, B) mod the prime, and one modular inverse per table and per
-scan (_keys batch-inverts each list of points).  A nonzero residue proves
-u_n != 0, so the screen only rules indices out, and the exact recurrence,
-unchanged, decides every index it leaves.  The real and Lucas growth scans
-share one loop, _first_violation, over the bounds that real_bounds and
-lucas_bound declare as rows k*2^(e*m)*|u_n| >= c*gamma^m (the per-index
-checkers of brigkit.growth evaluate the same rows).  The loop is built on
-the closed form sqrt(delta)*u_n = (Q - P*beta)*alpha^n - (Q - P*alpha)*beta^n:
-its lower envelope l_n, with l_n/alpha^n never decreasing, turns one exact
-test at one index into a proof of a bound at every later index, so a scan
-usually ends at its first index; where the envelope does not yet suffice,
-the bounds are decided exactly on |u_n| and the scan steps once.  The
-non-real scan builds |u_n|^3 only where its bit length and that of B^n
-leave |u_n|^3 < B^n open.  The kernels call lucas_u_pair through this
-module's globals, so a wrapper set on brigkit.kernels.lucas_u_pair sees
-every call.
+no rationals and no floating point appear in any loop.
+
+lucas_u_pair doubles (x, y) = (U_k, U_{k+1}) with three squarings per bit
+of n: U_{2k} = (x + y)^2 - y^2 - (A + 1)*x^2 and U_{2k+1} = y^2 - B*x^2.
+term_at stops that ladder at k = n//2 and writes u_n as one quadratic form
+a*x^2 + b*x*y + c*y^2, with c = P for even n and c = Q for odd n, which two
+squarings and one exact division evaluate: 4c*u_n = (2c*y + b*x)^2 +
+(4ac - b^2)*x^2.  Both refuse an n whose bound on the bits of U_n passes
+_MAX_BITS before they compute anything.
+
+The zero scan first screens residues modulo a prime: a baby-step giant-step
+search finds the last index whose residue is 0 in O(sqrt(hi)) giant steps,
+with one baby table per (A, B) mod the prime, and one modular inverse per
+table and per scan (_keys batch-inverts each list of points).  A nonzero
+residue proves u_n != 0, so the screen only rules indices out, and the
+exact recurrence, unchanged, decides every index it leaves.  The real and
+Lucas growth scans share one loop, _first_violation, over the bounds that
+real_bounds and lucas_bound declare as rows k*2^(e*m)*|u_n| >= c*gamma^m
+(the per-index checkers of brigkit.growth evaluate the same rows).  The
+loop is built on the closed form sqrt(delta)*u_n = (Q - P*beta)*alpha^n -
+(Q - P*alpha)*beta^n: its lower envelope l_n, with l_n/alpha^n never
+decreasing, turns one exact test at one index into a proof of a bound at
+every later index, so a scan usually ends at its first index; where the
+envelope does not yet suffice, the bounds are decided exactly on |u_n| and
+the scan steps once.  A scan takes its rows' gamma^m and its first window
+from the Lucas pairs that _start_pair caches, since the scans of one (A, B)
+pair start at few distinct indices.  The non-real scan builds |u_n|^3 only
+where its bit length and that of B^n leave |u_n|^3 < B^n open.  The
+kernels call lucas_u_pair through this module's globals, so a wrapper set
+on brigkit.kernels.lucas_u_pair sees every call (a warm _start_pair makes
+none).
 """
 
 from __future__ import annotations
@@ -37,24 +49,52 @@ _SCREEN_PRIME = 1_073_741_789
 # allocates its table.
 _MAX_SCAN = (1 << 32) - 1
 
+# lucas_u_pair and term_at refuse an index whose bound on the bits of U_n
+# passes this (2^36 bits is 8 GiB).
+_MAX_BITS = 1 << 36
+
 
 def lucas_u_pair(A: int, B: int, n: int) -> tuple[int, int]:
-    """(U_n, U_{n+1}) by top-down fast doubling.
+    """(U_n, U_{n+1}) by top-down fast doubling, three squarings per bit of n.
 
-    U_{2k} = U_k * (2*U_{k+1} - A*U_k) and U_{2k+1} = U_{k+1}^2 - B*U_k^2;
-    three big multiplications per bit of n.
+    With x = U_k and y = U_{k+1}, U_{2k} = 2xy - A*x^2 and U_{2k+1} = y^2 -
+    B*x^2 are taken from the squares x^2, y^2 and (x + y)^2 alone:
+
+        U_{2k}   = (x + y)^2 - y^2 - (A + 1)*x^2
+        U_{2k+1} = y^2 - B*x^2
+
+    and a set bit steps once more, U_{2k+2} = A*U_{2k+1} - B*U_{2k}.  CPython
+    squares a big integer faster than it multiplies two.  |U_n| <= (|A| +
+    |B|)^(n-1), so n*bit_length(|A| + |B|) bounds the bits of U_n; past
+    _MAX_BITS the call raises ValueError before its first step.
     """
     if n < 0:
         raise ValueError("index must be non-negative")
-    u, u1 = 0, 1
-    for bit in bin(n)[2:]:
-        d = u * (2 * u1 - A * u)
-        e = u1 * u1 - B * u * u
+    _refuse_huge(A, B, n)
+    if not n:
+        return 0, 1
+    a1 = A + 1
+    u, u1 = 1, A             # (U_1, U_2): the leading bit of n is 1
+    for bit in bin(n)[3:]:
+        # rebind u and u1 to their squares: no U_k is kept beside its square
+        s = u + u1
+        u = u * u
+        u1 = u1 * u1
+        d = s * s - u1 - a1 * u
+        e = u1 - B * u
         if bit == "1":
             u, u1 = e, A * e - B * d
         else:
             u, u1 = d, e
     return u, u1
+
+
+def _refuse_huge(A: int, B: int, n: int) -> None:
+    """Raise ValueError when n*bit_length(|A| + |B|), a bound on the bits of
+    U_n, passes _MAX_BITS: such a term would not fit in memory."""
+    if n * (abs(A) + abs(B)).bit_length() > _MAX_BITS:
+        raise ValueError(f"index {n} is too large: U_n may need more than "
+                         f"2^{_MAX_BITS.bit_length() - 1} bits")
 
 
 def lucas_uv(A: int, B: int, n: int) -> tuple[int, int]:
@@ -64,24 +104,58 @@ def lucas_uv(A: int, B: int, n: int) -> tuple[int, int]:
 
 
 def term_at(A: int, B: int, P: int, Q: int, n: int) -> int:
-    """u_n in O(log n) big multiplications via u_n = U_n*Q + (U_{n+1} - A*U_n)*P."""
+    """u_n from the Lucas pair at k = n//2 and one fused last step.
+
+    With x = U_k and y = U_{k+1}, u_n = U_n*(Q - A*P) + U_{n+1}*P is the
+    quadratic form a*x^2 + b*x*y + c*y^2, where, for w = A*P - Q,
+
+        n = 2k:      a = A*w - B*P,  b = -2*w,    c = P
+        n = 2k + 1:  a = B*w,        b = -2*B*P,  c = Q
+
+    Completing the square, 4c*u_n = (2c*y + b*x)^2 + (4ac - b^2)*x^2: two
+    squarings and one exact division.  For c = 0, u_n = x*(a*x + b*y): one
+    product.  n itself passes lucas_u_pair's size guard.
+    """
     if n < 0:
         raise ValueError("index must be non-negative")
-    if n == 0:
-        return P
-    u, u1 = lucas_u_pair(A, B, n)
-    return u * Q + (u1 - A * u) * P
+    _refuse_huge(A, B, n)
+    x, y = lucas_u_pair(A, B, n >> 1)
+    w = A * P - Q
+    if n & 1:
+        a, b, c = B * w, -2 * B * P, Q
+    else:
+        a, b, c = A * w - B * P, -2 * w, P
+    if not c:
+        return x * (a * x + b * y)
+    z = 2 * c * y + b * x
+    return (z * z + (4 * a * c - b * b) * (x * x)) // (4 * c)
 
 
 def term_window(A: int, B: int, P: int, Q: int, n: int) -> tuple[int, int]:
-    """(u_n, u_{n+1}) from one Lucas pair: u_n = U_n*Q + (U_{n+1} - A*U_n)*P
-    and u_{n+1} = U_{n+1}*Q - B*U_n*P (n = 0 gives (P, Q)).
+    """(u_n, u_{n+1}) from one Lucas pair (n = 0 gives (P, Q))."""
+    return _window(A, B, P, Q, *lucas_u_pair(A, B, n))
+
+
+def _window(A: int, B: int, P: int, Q: int, u: int, u1: int) -> tuple[int, int]:
+    """(u_n, u_{n+1}) from (u, u1) = (U_n, U_{n+1}): u_n = U_n*Q + (U_{n+1} -
+    A*U_n)*P and u_{n+1} = U_{n+1}*Q - B*U_n*P.
 
     Q - A*P and B*P do not grow with n, so grouping them first builds four
     products and no other temporary the size of U_n.
     """
-    u, u1 = lucas_u_pair(A, B, n)
     return u * (Q - A * P) + u1 * P, u1 * Q - u * (B * P)
+
+
+@lru_cache(maxsize=256)
+def _start_pair(a: int, b: int, m: int) -> tuple[int, int]:
+    """lucas_u_pair(a, b, m) for _first_violation's rows and start windows.
+
+    A growth scan needs the pairs at its first index only, and the scans of
+    one (A, B) pair start at few distinct indices, so a small cache serves
+    most of them while the sweep works pair by pair.  It holds at most 256
+    pairs, each as large as its U_m.
+    """
+    return lucas_u_pair(a, b, m)
 
 
 def term_iter(A: int, B: int, P: int, Q: int, n: int) -> int:
@@ -280,9 +354,9 @@ def _first_violation(A: int, B: int, P: int, Q: int, lo: int, hi: int,
     state = []
     for _, k, e, c, off, a, b in bounds:
         m = lo - off
-        u, v = lucas_uv(a, b, m)
-        state.append((k << e * m, e, c, v, u, a, a * a - 4 * b))
-    un, un1 = term_window(A, B, P, Q, lo)
+        u, u1 = _start_pair(a, b, m)
+        state.append((k << e * m, e, c, 2 * u1 - a * u, u, a, a * a - 4 * b))
+    un, un1 = _window(A, B, P, Q, *_start_pair(A, B, lo))
     for n in range(lo, hi + 1):
         if B:
             y, r = _envelope(A, B, P, Q, n, un, un1)

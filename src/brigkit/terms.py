@@ -1,14 +1,13 @@
 """Exact term computation for u_n = A*u_{n-1} - B*u_{n-2}.
 
 Two paths: term_iter walks the recurrence (linear time, the reference), and
-term_fast uses fast doubling of the Lucas pair (U_n, U_{n+1}) plus the
-coefficient identity
+term_fast uses fast doubling of the Lucas pair (U_n, U_{n+1}), O(log n) big
+squarings (see kernels.term_at), for the coefficient identity
 
-    u_n = c_P(n)*P + c_Q(n)*Q,   c_P(n) = -B*U_{n-1},  c_Q(n) = U_n,
+    u_n = c_P(n)*P + c_Q(n)*Q,   c_P(n) = -B*U_{n-1},  c_Q(n) = U_n.
 
-which is O(log n) big multiplications.  Both are exact and bit-identical;
-negative indices are unsupported throughout (backward extension leaves the
-integers unless B = +-1).
+Both are exact and bit-identical; negative indices are unsupported
+throughout (backward extension leaves the integers unless B = +-1).
 """
 
 from __future__ import annotations

@@ -44,6 +44,154 @@ def test_term_window_rejects_negative_index():
         kernels.term_window(1, -1, 0, 1, -1)
 
 
+# The Lucas layer at sizes the small-integer tests miss: P and Q of up to
+# 256 bits or 0 (term_at's one-product branch), n up to 700.
+wide_initial = st.one_of(st.just(0), st.integers(-2 ** 256, 2 ** 256))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(-30, 30), st.integers(-30, 30), wide_initial, wide_initial,
+       st.integers(0, 700))
+@example(3, -7, 0, 5, 10)                # P = 0 at even n: c = 0, one product
+@example(3, -7, 5, 0, 11)                # Q = 0 at odd n: c = 0, one product
+@example(3, -7, -2 ** 255, 5, 10)        # c = P < 0: negative divisor 4c
+@example(3, -7, 5, -2 ** 255, 11)        # c = Q < 0: negative divisor 4c
+@example(0, -7, 2, 5, 301)               # A = 0
+@example(4, 0, 2, 5, 300)                # B = 0
+@example(3, -7, 2, 5, 0)
+@example(3, -7, 2, 5, 1)
+@example(3, -7, 2, 5, 2)
+@example(-30, 30, 2 ** 256, -2 ** 256, 2 ** 9 - 1)
+@example(-30, 30, 2 ** 256, -2 ** 256, 2 ** 9 + 1)
+@example(29, -30, 7, 11, 2 ** 6 - 1)
+@example(29, -30, 7, 11, 2 ** 6 + 1)
+def test_lucas_layer_matches_recurrence(a, b, p, q, n):
+    u = iter_lucas_u(a, b, n + 1)
+    terms = iter_terms(a, b, p, q, n + 1)
+    assert kernels.lucas_u_pair(a, b, n) == (u[n], u[n + 1])
+    assert kernels.lucas_uv(a, b, n) == (u[n], iter_lucas_v(a, b, n)[n])
+    assert kernels.term_at(a, b, p, q, n) == terms[n]
+    assert kernels.term_window(a, b, p, q, n) == (terms[n], terms[n + 1])
+
+
+def test_huge_index_is_refused_before_the_ladder_starts(monkeypatch):
+    """lucas_u_pair reads bin(n) before its first step, so a bin that fails
+    proves no ladder starts."""
+    def started(*args):
+        raise AssertionError("the doubling ladder started")
+
+    monkeypatch.setattr(kernels, "bin", started, raising=False)
+    n = 2 ** 63 + 5
+    for call in (lambda: kernels.lucas_u_pair(10, -10, n),
+                 lambda: kernels.lucas_uv(10, -10, n),
+                 lambda: kernels.term_at(10, -10, 3, 7, n),
+                 lambda: kernels.term_window(10, -10, 3, 7, n)):
+        with pytest.raises(ValueError, match="too large"):
+            call()
+
+
+def test_size_guard_is_exact_at_its_limit():
+    """(A, B) = (1, 0) bounds U_n by n bits, and U_n = 1, u_n = Q for
+    n >= 1 cost a few small steps, so the limit itself is cheap to run.
+    term_at's own guard reads n, not the n//2 its ladder stops at."""
+    limit = kernels._MAX_BITS
+    assert kernels.lucas_u_pair(1, 0, limit) == (1, 1)
+    assert kernels.term_at(1, 0, 2, 3, limit) == 3
+    with pytest.raises(ValueError, match="too large"):
+        kernels.lucas_u_pair(1, 0, limit + 1)
+    with pytest.raises(ValueError, match="too large"):
+        kernels.term_at(1, 0, 2, 3, limit + 1)
+    # |A| + |B| = 0: U_n = 0 for n >= 2, never refused
+    assert kernels.lucas_u_pair(0, 0, 2 ** 63 + 5) == (0, 0)
+
+
+def test_term_at_a_million_still_runs():
+    """The README's n = 10^6 example, checked modulo a prime by the plain
+    recurrence: 3,448,383 bits, under the guard's bound of 5*10^6."""
+    p = 1_000_003
+    prev, cur = 3, 7
+    for _ in range(10 ** 6 - 1):
+        prev, cur = cur, (10 * cur + 10 * prev) % p
+    value = kernels.term_at(10, -10, 3, 7, 10 ** 6)
+    assert value % p == cur
+    assert value.bit_length() == 3_448_383
+
+
+def _counting(monkeypatch):
+    """Wrap brigkit.kernels.lucas_u_pair, as perfbench's tracer does, and
+    return the list its calls are appended to."""
+    calls = []
+    original = kernels.lucas_u_pair
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(kernels, "lucas_u_pair", counted)
+    return calls
+
+
+def test_every_lucas_caller_reaches_the_module_global(monkeypatch):
+    """perfbench traces the doubling by replacing kernels.lucas_u_pair, so
+    every kernel must look it up there; a cold growth scan must too."""
+    calls = _counting(monkeypatch)
+    for call, want in ((lambda: kernels.term_at(3, -7, 2, 5, 41), (3, -7, 20)),
+                       (lambda: kernels.term_window(3, -7, 2, 5, 41), (3, -7, 41)),
+                       (lambda: kernels.lucas_uv(3, -7, 41), (3, -7, 41))):
+        calls.clear()
+        call()
+        assert calls == [want]
+    for scan in (lambda: kernels.real_growth_scan(5, 2, 3, -4, 2, 200, True),
+                 lambda: kernels.lucas_growth_scan(5, 2, 2, 200)):
+        kernels._start_pair.cache_clear()
+        calls.clear()
+        scan()
+        assert calls
+
+
+def _growth_box_scans(a, b):
+    """Every growth scan the growth-sweep box makes for the pair (a, b),
+    |P|, |Q| <= 8, up to the horizon 200: the Lucas scan and each point's
+    branch scan from its threshold.  Then both branches' scans from index
+    2, below the thresholds, where some bounds fail."""
+    out = [kernels.lucas_growth_scan(a, b, 2, 200)]
+    points = [(p, q) for p, q in product(range(-8, 9), repeat=2) if p and q]
+    for p, q in points:
+        branch = real_case_branch(SequenceParams(a, b, p, q))
+        start = max(branch.n_min, 2)
+        if start <= 200:
+            out.append(kernels.real_growth_scan(
+                a, b, p, q, start, 200, branch.kind is BranchKind.FAR))
+    out += [kernels.real_growth_scan(a, b, p, q, 2, 200, far)
+            for p, q in points for far in (True, False)]
+    return out
+
+
+@pytest.mark.parametrize("a, b", [(5, 2), (3, -3), (1, -1)])
+def test_start_pair_cache_changes_no_scan(monkeypatch, a, b):
+    """The growth scans answer the same with _start_pair cold before every
+    scan and warm, and a repeated pass makes no Lucas-pair call at all."""
+    original = kernels._start_pair
+
+    def cold(*args):
+        original.cache_clear()
+        return original(*args)
+
+    monkeypatch.setattr(kernels, "_start_pair", cold)
+    with_cold = _growth_box_scans(a, b)
+    assert set(with_cold) - {-1}
+    monkeypatch.setattr(kernels, "_start_pair", original)
+    original.cache_clear()
+    assert _growth_box_scans(a, b) == with_cold
+    calls = _counting(monkeypatch)
+    assert _growth_box_scans(a, b) == with_cold
+    assert calls == []
+
+
+def test_start_pair_cache_stays_small():
+    assert kernels._start_pair.cache_info().maxsize <= 512
+
+
 def test_zero_scan_matches_window_iteration():
     hits = kernels.zero_scan(3, 6, 5, 6, 0, 100)
     assert hits == [5]

@@ -537,6 +537,19 @@ def test_cli_rejects_a_bad_c4(monkeypatch, capsys):
         assert capsys.readouterr().err.startswith("error: c4 must be in")
 
 
+def test_cli_term_refuses_a_huge_index(monkeypatch, capsys):
+    """A term past the size guard exits 1 with an error, and no doubling
+    ladder starts."""
+    def started(*args):
+        raise AssertionError("the doubling ladder started")
+
+    monkeypatch.setattr(kernels, "lucas_u_pair", started)
+    assert main(["term", "--a", "10", "--b", "-10", "--p", "3", "--q", "7",
+                 "--n", "9223372036854775813"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: index 9223372036854775813 is too large")
+
+
 def test_cli_zeros_c4_help_names_the_default(monkeypatch, capsys):
     monkeypatch.setattr("brigkit.cli.DEFAULT_C4", 4321)
     assert main(["zeros", "--help"]) == 0
