@@ -262,7 +262,7 @@ def empirical_nonreal_threshold(params: SequenceParams, horizon: int) -> int:
     if cls.kind is not Kind.NONREAL:
         raise DegenerateInputError(f"threshold scan got {cls.label()}")
     last_fail = kernels.nonreal_growth_scan(params.A, params.B, params.P,
-                                            params.Q, 0, horizon)
+                                            params.Q, horizon)
     return last_fail + 1
 
 

@@ -402,36 +402,24 @@ def real_growth_scan(A: int, B: int, P: int, Q: int,
     return _first_violation(A, B, P, Q, lo, hi, real_bounds(A, B, P, Q, far))
 
 
-def nonreal_growth_scan(A: int, B: int, P: int, Q: int,
-                        lo: int, hi: int) -> int:
-    """Last n in [lo, hi] with |u_n|^3 < B^n, or -1 if the cube bound holds
+def nonreal_growth_scan(A: int, B: int, P: int, Q: int, hi: int) -> int:
+    """Last n in [0, hi] with |u_n|^3 < B^n, or -1 if the cube bound holds
     throughout.  Requires A^2 < 4B (so B >= 1).
 
     Screened by bit lengths: for L = bit_length(|u_n|) and e =
     bit_length(B^n), |u_n|^3 lies in [2^(3L-3), 2^(3L)) and B^n in
     [2^(e-1), 2^e), so 3L < e proves |u_n|^3 < B^n and 3L - 2 > e refutes
     it; only 3L - 2 <= e <= 3L builds the cube."""
-    if lo < 0 or hi < lo:
-        return -1
-    prev, cur = P, Q
-    for _ in range(lo - 1):
-        prev, cur = cur, A * cur - B * prev
-    un = P if lo == 0 else cur
-    bp = B ** lo
+    un, cur = P, Q                     # u_n, u_{n+1}
+    bp = 1                             # B^n
     last = -1
-    n = lo
-    while n <= hi:
+    for n in range(hi + 1):
         a = -un if un < 0 else un
         t, e = 3 * a.bit_length(), bp.bit_length()
         if t < e or (e >= t - 2 and a * a * a < bp):
             last = n
-        if n == 0:
-            un = Q
-        else:
-            prev, cur = cur, A * cur - B * prev
-            un = cur
+        un, cur = cur, A * cur - B * un
         bp *= B
-        n += 1
     return last
 
 

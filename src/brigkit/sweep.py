@@ -18,18 +18,9 @@ non-real case and zeros beyond a search bound that assumed a too-small c4.
 A growth threshold beyond the horizon is no discrepancy at all, only the
 record flag "growth-threshold-beyond-horizon".
 
-Every zero verdict is refereed by brute_force_zero_oracle, which shares no
-code and no modulus with the kernels.  It screens modulo its own prime with
-one residue table per (A, B) pair, shared by all the pair's (P, Q): for
-n >= 1, u_n = 0 (mod p) exactly when (P : Q) is the point
-(U_n : B*U_{n-1}) mod p, so the table files every 16th index n = i*16
-under that point: a dict from the point's key to the stride i, or to its
-ascending strides once the key repeats, built in one forward and one
-backward pass without a sort.  A query walks the recurrence mod p through
-its first 16 terms and looks up each pair of consecutive terms (with a
-bisection for a repeated key); these lookups reach the indices between the
-strides.  The screen only says where a zero may be; the exact recurrence,
-run up to the last such index, decides every hit.
+Every zero verdict is refereed by brute_force_zero_oracle from
+brigkit.referee, which imports nothing from brigkit (see that module for
+its table and screen).
 """
 
 from __future__ import annotations
@@ -41,10 +32,8 @@ import json
 import multiprocessing
 import os
 import sys
-from bisect import bisect_right
 from dataclasses import MISSING, dataclass, fields
 from fractions import Fraction
-from functools import lru_cache
 
 from . import __version__, kernels
 from .core import Kind, SequenceParams, classify
@@ -52,23 +41,10 @@ from .growth import (empirical_nonreal_threshold, height_sandwich_check,
                      nonreal_threshold_formula, ratio_height, real_case_branch,
                      BranchKind, DegenerateInputError, HeightBoundError,
                      DEFAULT_C_NONREAL_THRESHOLD)
+from .referee import _MAX_HORIZON, brute_force_zero_oracle
 from .zeros import (AllZero, NoZero, PeriodicZeros, ZeroAt, ZeroTail,
                     construct_zero_at, find_zero, _formula_bound,
                     ConstructionError, DEFAULT_C4)
-
-# The second-largest prime below 2^30 (the zero-scan kernel screens with the
-# largest), so the oracle shares neither code nor modulus with the scan it
-# referees; every residue is a single CPython digit.  Read at call time, and
-# part of the oracle tables' cache key.
-_ORACLE_PRIME = 1_073_741_783
-
-# The largest horizon the oracle accepts; a larger one raises before its
-# table allocates anything.
-_MAX_HORIZON = (1 << 32) - 1
-
-# The oracle's tables file every _STRIDE-th index of a pair's orbit, and a
-# query walks the recurrence at most _STRIDE steps to reach the rest.
-_STRIDE = 16
 
 ALL_CHECKS = ("zeros", "growth", "height", "lucas", "zero-family")
 
@@ -116,7 +92,11 @@ class SweepConfig:
             raise SweepConfigError(
                 f"c4 must be in [1, {kernels._MAX_SCAN}], got {self.c4}")
         # an oracle horizon that cuts off the zeros it should see fakes
-        # discrepancies, and one past the oracle's limit fails every pair
+        # discrepancies, and one past the oracle's limit fails every pair;
+        # a non-real point's oracle horizon is its search bound, at least c4
+        if "zeros" in self.checks and self.c4 > _MAX_HORIZON:
+            raise SweepConfigError(f"c4 must be in [1, {_MAX_HORIZON}] with the "
+                                   f"zeros check, got {self.c4}")
         if not 0 <= self.oracle_floor <= _MAX_HORIZON:
             raise SweepConfigError(f"oracle_floor must be in [0, {_MAX_HORIZON}], "
                                    f"got {self.oracle_floor}")
@@ -175,168 +155,6 @@ def config_from_dict(data: dict) -> SweepConfig:
         raise SweepConfigError(f"bad sweep config: {exc}") from exc
     cfg.validate()
     return cfg
-
-
-class _ZeroTable:
-    """Where u_n = 0 (mod m) may hold, for every (P, Q) of one
-    (A mod m, B mod m) at once, from every S-th index, S = _STRIDE.
-
-    For n >= 1, u_n = Q*U_n - P*B*U_{n-1}, where U is the Lucas sequence of
-    (A, B) (u_0 = P, u_1 = Q).  So u_n = 0 (mod m) exactly when (P : Q) is
-    the projective point (U_n : B*U_{n-1}) mod m.  The table files stride i
-    (1 <= i <= top) under the key of the point of n = i*S: U_n *
-    (B*U_{n-1})^-1 when B*U_{n-1} != 0 (a point (x : y) with y != 0 has key
-    x * y^-1); m, "infinity", when only U_n != 0 (the points (x : 0)); and
-    m + 1 when both are 0.  No query looks m + 1 up: a point (0 : 0)
-    needs A = B = 0 (mod m), and then every walk meets u_2 = u_3 = 0 first.
-
-    A query walks the recurrence instead of filing the indices between
-    strides.  The sequence that starts at (u_j, u_{j+1}) has u_{i*S+j} as
-    its term i*S, so looking up the point (u_j : u_{j+1}) for j = 0..S-1
-    finds every zero i*S + j with i >= 1; together with the walk's own
-    u_1..u_{S-1} these indices cover [1, horizon] once.
-
-    The index maps a key to its one stride, or to the ascending list of its
-    strides once the key repeats.  A key seen once is the usual case, since
-    the orbit of (0 : 1) modulo a 30-bit prime is long; repeats come from
-    short orbits (degenerate pairs, B = 0 mod m, small moduli).  A growth
-    steps the point forward S indices at a time, turns the points into keys
-    with one modular inverse (Montgomery's batch inversion), and needs no
-    sort: a regrowth only appends strides above the old ones.
-    """
-
-    __slots__ = ("a", "b", "m", "top", "x", "y", "step", "index")
-
-    def __init__(self, a: int, b: int, m: int):
-        self.a, self.b, self.m = a, b, m
-        s = _STRIDE
-        u = [0, 1]                          # U_0..U_{S+1} mod m
-        for _ in range(s):
-            u.append((a * u[-1] - b * u[-2]) % m)
-        # (U_n, B*U_{n-1}) -> (U_{n+S}, B*U_{n+S-1}) is the matrix
-        # ((U_{S+1}, -U_S), (B*U_S, -B*U_{S-1})), since
-        # U_{n+k} = U_{k+1}*U_n - B*U_k*U_{n-1}
-        self.step = (u[s + 1], u[s], b * u[s] % m, b * u[s - 1] % m)
-        self.top = 0
-        self.x, self.y = 0, m - 1          # U_0 and B*U_{-1} = -1, mod m
-        self.index: dict[int, int | list[int]] = {}
-
-    def _grow(self, top: int) -> None:
-        """Extend the table to the strides up to top."""
-        m, lo = self.m, self.top
-        c11, c12, c21, c22 = self.step
-        x, y = self.x, self.y
-        count = top - lo
-        # for stride i = lo+1+t, with n = i*S: xs[t] = U_n, ys[t] = B*U_{n-1},
-        # and keys[t] is first the product of the nonzero ys before t, then
-        # the stride's key
-        xs, ys, keys = [0] * count, [0] * count, [0] * count
-        acc = 1
-        for t in range(count):
-            x, y = (c11 * x - c12 * y) % m, (c21 * x - c22 * y) % m
-            xs[t], ys[t], keys[t] = x, y, acc
-            if y:
-                acc = acc * y % m
-        # inv runs through the inverses of the products, last stride first,
-        # so inv * keys[t] is the inverse of ys[t] when that is nonzero
-        inv = pow(acc, -1, m)
-        for t in range(count - 1, -1, -1):
-            z = ys[t]
-            if z:
-                keys[t] = xs[t] * inv * keys[t] % m
-                inv = inv * z % m
-            else:
-                keys[t] = m if xs[t] else m + 1
-        del xs, ys                         # freed before the index grows
-        index = self.index
-        i = lo
-        for key in keys:
-            i += 1
-            seen = index.setdefault(key, i)
-            if seen != i:                  # a repeat: i is above its strides
-                if type(seen) is list:
-                    seen.append(i)
-                else:
-                    index[key] = [seen, i]
-        self.top, self.x, self.y = top, x, y
-
-    def last_zero(self, P: int, Q: int, horizon: int) -> int:
-        """The largest n in [1, horizon] with u_n = 0 (mod m), or 0."""
-        if horizon < 1:
-            return 0
-        if horizon > _MAX_HORIZON:
-            raise ValueError(f"oracle horizon {horizon} exceeds 2^32 - 1")
-        s = _STRIDE
-        if horizon // s > self.top:
-            self._grow(min(max(horizon // s, 2 * self.top), _MAX_HORIZON // s))
-        a, b, m = self.a, self.b, self.m
-        # xs[j], ys[j] = u_j, u_{j+1} mod m, and prods[j] is the product of
-        # the nonzero ys before j, for the keys' one inverse as in _grow
-        xs, ys, prods = [0] * s, [0] * s, [0] * s
-        last, acc = 0, 1
-        u, v = P % m, Q % m
-        for j in range(min(s, horizon + 1)):
-            if not (u or v):               # u_n = 0 (mod m) for every n >= j
-                return horizon
-            if not u:
-                last = j
-            xs[j], ys[j], prods[j] = u, v, acc
-            if v:
-                acc = acc * v % m
-            u, v = v, (a * v - b * u) % m
-        if horizon < s:                    # no stride in range
-            return last
-        inv = pow(acc, -1, m)
-        get = self.index.get
-        for j in range(s - 1, -1, -1):
-            y = ys[j]
-            if y:
-                key = xs[j] * inv * prods[j] % m
-                inv = inv * y % m
-            else:
-                key = m
-            i = get(key)
-            if i is None:
-                continue
-            top = (horizon - j) // s         # the largest stride in range
-            if type(i) is list:
-                k = bisect_right(i, top)
-                i = i[k - 1] if k else 0
-            if 0 < i <= top and i * s + j > last:
-                last = i * s + j
-        return last
-
-
-@lru_cache(maxsize=1)
-def _zero_table(a: int, b: int, m: int) -> _ZeroTable:
-    """The pair's table, kept while the sweep works through its (P, Q).  The
-    sweep goes pair by pair, so one table is enough, and a stride of 16
-    indices costs about 80 to 110 bytes."""
-    return _ZeroTable(a, b, m)
-
-
-def brute_force_zero_oracle(params: SequenceParams, horizon: int) -> list[int]:
-    """All k <= horizon with u_k = 0, by plain iteration.
-
-    Deliberately independent of the kernels: no normalization, no bounds,
-    no fast doubling, and its own table and prime; this is the referee for
-    every ZeroResult.  The pair's _ZeroTable modulo _ORACLE_PRIME gives the last
-    index whose residue is 0 (a nonzero residue proves u_k != 0); the exact
-    recurrence then runs up to that index and decides every hit.
-    """
-    m = _ORACLE_PRIME
-    A, B = params.A, params.B
-    last = _zero_table(A % m, B % m, m).last_zero(params.P, params.Q, horizon)
-
-    hits = []
-    prev, cur = params.P, params.Q
-    if prev == 0:
-        hits.append(0)
-    for n in range(1, last + 1):
-        if cur == 0:
-            hits.append(n)
-        prev, cur = cur, A * cur - B * prev
-    return hits
 
 
 def _expected_zero_set(result, horizon: int) -> list[int]:

@@ -13,13 +13,13 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from brigkit import SequenceParams, classify, kernels
+from brigkit import SequenceParams, classify, kernels, referee
 from brigkit import sweep as sweep_mod
 from brigkit.cli import main
 from brigkit.core import Reason
+from brigkit.referee import brute_force_zero_oracle
 from brigkit.sweep import (CSV_HEADER, SweepConfig, SweepConfigError,
-                           brute_force_zero_oracle, config_from_dict, render_csv,
-                           render_json, run_sweep)
+                           config_from_dict, render_csv, render_json, run_sweep)
 from conftest import iter_terms
 
 SMALL = dict(a_range=(-3, 3), b_range=(-3, 3), p_range=(-2, 2), q_range=(-2, 2),
@@ -61,7 +61,7 @@ def test_oracle_matches_plain_recurrence_on_degenerate_grid(monkeypatch, prime):
     included; small primes make residue hits frequent, so the exact pass
     decides most indices."""
     if prime is not None:
-        monkeypatch.setattr(sweep_mod, "_ORACLE_PRIME", prime)
+        monkeypatch.setattr(referee, "_ORACLE_PRIME", prime)
     reasons = set()
     for a in range(-4, 5):
         for b in range(-4, 5):
@@ -76,8 +76,8 @@ def test_oracle_matches_plain_recurrence_on_degenerate_grid(monkeypatch, prime):
             Reason.BOTH_INITIAL_ZERO} <= reasons
 
 
-ORACLE_PRIME = sweep_mod._ORACLE_PRIME
-STRIDE = sweep_mod._STRIDE
+ORACLE_PRIME = referee._ORACLE_PRIME
+STRIDE = referee._STRIDE
 
 
 def zero_at(a, b, k):
@@ -97,8 +97,8 @@ def test_oracle_matches_plain_recurrence_around_stride_boundaries(monkeypatch,
     (P, Q) = (0, 0) mod p vanishes at every index; and constructed zeros sit
     at indices = 0 and = S - 1 mod S."""
     if prime is not None:
-        monkeypatch.setattr(sweep_mod, "_ORACLE_PRIME", prime)
-    m, s = sweep_mod._ORACLE_PRIME, STRIDE
+        monkeypatch.setattr(referee, "_ORACLE_PRIME", prime)
+    m, s = referee._ORACLE_PRIME, STRIDE
     horizons = [s + 1, 0, 2 * s + 1, s - 1, 3 * s, 1, 2 * s, 7 * s + 3, s,
                 2 * s - 1]
     for a in (-2, -1, 0, 1, 3, m):
@@ -107,7 +107,7 @@ def test_oracle_matches_plain_recurrence_around_stride_boundaries(monkeypatch,
             points += [(m, -m), (2 * m, m), (m, 1), (1, m)]
             if b:
                 points += [zero_at(a, b, k) for k in (s - 1, s, 2 * s - 1, 2 * s)]
-            sweep_mod._zero_table.cache_clear()
+            referee._zero_table.cache_clear()
             for p, q in points:
                 terms = iter_terms(a, b, p, q, max(horizons))
                 params = SequenceParams(a, b, p, q)
@@ -167,8 +167,8 @@ def oracle_queries(draw):
                  (*zero_at(1, 2, STRIDE - 1), 3 * STRIDE)]))
 @example((ORACLE_PRIME, -ORACLE_PRIME, [(1, 1, 200), (0, 1, 400), (2, 0, 399)]))
 # U of (1, 1) and of (-1, 1) repeats every 6 and every 3 terms, so every key
-# repeats: the first growth files single indices, the regrowth turns them into
-# lists, and each later horizon falls strictly between two of a key's indices
+# repeats: the first growth closes the table's cycle, and each later horizon
+# falls strictly between two of a key's strides
 @example((1, 1, [(1, 1, 2), (1, 1, 100), (1, 1, 40), (1, 0, 60), (0, 1, 250)]))
 @example((-1, 1, [(1, 0, 1), (0, 1, 90), (1, 0, 50), (-1, 1, 21), (2, -2, 9)]))
 def test_oracle_table_matches_plain_recurrence(case):
@@ -177,7 +177,7 @@ def test_oracle_table_matches_plain_recurrence(case):
     infinity key and (P, Q) = (0, 0) mod p), A or B = 0 mod p (the bucket
     every (P, Q) matches), keys that repeat, and zeros at a chosen index."""
     a, b, queries = case
-    sweep_mod._zero_table.cache_clear()
+    referee._zero_table.cache_clear()
     for p, q, horizon in queries:
         terms = iter_terms(a, b, p, q, horizon)
         expected = [k for k, u in enumerate(terms) if u == 0]
@@ -188,48 +188,58 @@ def test_oracle_table_is_small_and_cached():
     """A bounded cache keyed on the residues of (A, B) and on the prime; the
     table files one entry per stride of S indices, a horizon past its last
     stride grows it to at least twice its size, and every stride is filed
-    once.  The table keeps its index and never the terms: at most 128 bytes
-    per stride on a 10,000-index table.  A horizon past 2^32 - 1 raises
-    before the table allocates anything."""
-    assert sweep_mod._zero_table.cache_info().maxsize is not None
+    once.  A pair whose keys repeat at once files one cycle and never grows
+    again.  The table keeps its index and never the terms: at most 128
+    bytes per stride on a 10,000-index table.  A horizon past the limit
+    raises before the table allocates anything."""
+    assert referee._zero_table.cache_info().maxsize is not None
     m, s = ORACLE_PRIME, STRIDE
 
-    def filed(table):
-        return sum(1 if type(v) is int else len(v) for v in table.index.values())
+    def state(table):
+        return table.top, len(table.index), table.cycle
 
     for a, b in [(3, 2), (1, -1), (0, 5), (5, 0), (0, 0)]:
-        sweep_mod._zero_table.cache_clear()
+        # every stride of (0, 5), (5, 0) and (0, 0) has one key (0, m or
+        # m + 1), so stride 2 closes a cycle of length 1 and the table never
+        # grows again
+        short = 0 in (a, b)
+
+        def filed(top):
+            return (2000 // s, 1, (1, 1)) if short else (top, top, None)
+
+        referee._zero_table.cache_clear()
         brute_force_zero_oracle(SequenceParams(a, b, 1, 1), 2000)
-        table = sweep_mod._zero_table(a % m, b % m, m)
-        assert sweep_mod._zero_table.cache_info().hits == 1
-        assert (table.top, filed(table)) == (2000 // s, 2000 // s)
+        table = referee._zero_table(a % m, b % m, m)
+        assert referee._zero_table.cache_info().hits == 1
+        assert state(table) == filed(2000 // s)
         # up to the last index before the next stride, the table suffices
         brute_force_zero_oracle(SequenceParams(a + m, b - m, 2, 3),
                                 2000 // s * s + s - 1)
-        assert sweep_mod._zero_table(a % m, b % m, m) is table
-        assert (table.top, filed(table)) == (2000 // s, 2000 // s)
+        assert referee._zero_table(a % m, b % m, m) is table
+        assert state(table) == filed(2000 // s)
         brute_force_zero_oracle(SequenceParams(a, b, 2, 3), 2000 // s * s + s)
-        assert (table.top, filed(table)) == (2 * (2000 // s), 2 * (2000 // s))
+        assert state(table) == filed(2 * (2000 // s))
         brute_force_zero_oracle(SequenceParams(a, b, 1, 1), 9000)
-        assert (table.top, filed(table)) == (9000 // s, 9000 // s)
+        assert state(table) == filed(9000 // s)
 
-    sweep_mod._zero_table.cache_clear()
+    referee._zero_table.cache_clear()
     tracemalloc.start()
     try:
         brute_force_zero_oracle(SequenceParams(3, 2, 1, 1), 10_000)
         retained, _ = tracemalloc.get_traced_memory()
-        sweep_mod._zero_table.cache_clear()
+        referee._zero_table.cache_clear()
         tracemalloc.reset_peak()
-        with pytest.raises(ValueError, match="exceeds"):
-            brute_force_zero_oracle(SequenceParams(3, 2, 1, 1), 2 ** 32)
+        with pytest.raises(ValueError, match="exceeds 2\\^26 - 1"):
+            brute_force_zero_oracle(SequenceParams(3, 2, 1, 1),
+                                    referee._MAX_HORIZON + 1)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert retained <= 128 * -(-10_000 // s)
     assert peak < 64 * 1024
-    table = sweep_mod._zero_table(3, 2, m)
+    table = referee._zero_table(3, 2, m)
     assert (table.top, table.index) == (0, {})
-    sweep_mod._zero_table.cache_clear()
+    referee._zero_table.cache_clear()
 
 
 def test_expected_zero_sets_match_the_plain_comprehension():
@@ -267,42 +277,6 @@ def test_expected_zero_sets_match_the_plain_comprehension():
                     == plain(result, horizon)), (result, horizon)
 
 
-def _code_names(code) -> set:
-    """Every global and attribute name code and its nested code objects use."""
-    names = set(code.co_names)
-    for const in code.co_consts:
-        if isinstance(const, type(code)):
-            names |= _code_names(const)
-    return names
-
-
-def test_oracle_names_nothing_from_the_kernels():
-    """The oracle referees the zero kernel, so it must not borrow its code or
-    its screen: none of its functions names the kernels module or anything
-    defined there, and its prime is not the kernel's screening prime."""
-    own = {name for name, value in vars(kernels).items()
-           if not name.startswith("__")
-           and getattr(value, "__module__", kernels.__name__) == kernels.__name__}
-    assert {"_SCREEN_PRIME", "zero_scan"} <= own
-    table_methods = [v for v in vars(sweep_mod._ZeroTable).values()
-                     if callable(v)]
-    assert len(table_methods) >= 3
-    codes = [sweep_mod.brute_force_zero_oracle.__code__,
-             sweep_mod._zero_table.__wrapped__.__code__,
-             *(f.__code__ for f in table_methods)]
-    assert ({"_ORACLE_PRIME", "_STRIDE", "_MAX_HORIZON"}
-            <= set().union(*map(_code_names, codes)))
-    for code in codes:
-        names = _code_names(code)
-        assert not names & (own | {"kernels"}), code.co_name
-        for name in names & set(vars(sweep_mod)):
-            value = vars(sweep_mod)[name]
-            assert value is not kernels, (code.co_name, name)
-            assert getattr(value, "__module__", None) != kernels.__name__, \
-                (code.co_name, name)
-    assert sweep_mod._ORACLE_PRIME != kernels._SCREEN_PRIME
-
-
 def test_config_validation():
     with pytest.raises(SweepConfigError):
         SweepConfig(a_range=(3, 1), b_range=(1, 1), p_range=(1, 1),
@@ -326,19 +300,22 @@ def test_config_rejects_a_c4_outside_the_scan_range(c4):
 
 
 def test_config_accepts_c4_at_the_scan_limit():
-    SweepConfig(a_range=(1, 1), b_range=(1, 1), p_range=(1, 1),
-                q_range=(1, 1), c4=1).validate()
-    SweepConfig(a_range=(1, 1), b_range=(1, 1), p_range=(1, 1),
-                q_range=(1, 1), c4=kernels._MAX_SCAN).validate()
+    """Without the zeros check c4 reaches the scan limit; with it, the
+    oracle's limit."""
+    box = dict(a_range=(1, 1), b_range=(1, 1), p_range=(1, 1), q_range=(1, 1))
+    SweepConfig(**box, c4=1).validate()
+    SweepConfig(**box, c4=referee._MAX_HORIZON).validate()
+    SweepConfig(**box, c4=kernels._MAX_SCAN, checks=("growth",)).validate()
 
 
 @pytest.mark.parametrize("field, value", [
     # run over this box, each value fakes assertion-grade discrepancies: 7
     # zero-oracle (-5), 24 or 1 zero-family (-3, 24), and an internal error
-    # per pair (2^33)
+    # per pair (2^33); c4 = 2^32 - 1 would make the oracle ask for a table
+    # of tens of GB
     ("oracle_floor", -5), ("oracle_floor", 2 ** 33),
     ("uniqueness_horizon", -3), ("uniqueness_horizon", 24),
-    ("uniqueness_horizon", 2 ** 33),
+    ("uniqueness_horizon", 2 ** 33), ("c4", 2 ** 32 - 1),
 ])
 def test_config_rejects_oracle_horizons_that_fake_discrepancies(
         monkeypatch, tmp_path, capsys, field, value):
@@ -360,7 +337,7 @@ def test_config_rejects_oracle_horizons_that_fake_discrepancies(
 
 def test_config_accepts_oracle_horizons_at_their_limits():
     box = dict(a_range=(1, 1), b_range=(1, 1), p_range=(1, 1), q_range=(1, 1))
-    top = sweep_mod._MAX_HORIZON
+    top = referee._MAX_HORIZON
     for floor, unique in [(0, 25), (top, top)]:
         SweepConfig(**box, oracle_floor=floor, uniqueness_horizon=unique).validate()
     SweepConfig(**box, zero_k_max=1, uniqueness_horizon=1).validate()
@@ -1029,28 +1006,52 @@ import brigkit, brigkit.sweep as sw
 import tracing
 tracer = tracing.Tracer()
 tracer.install(brigkit)
-cfg = sw.SweepConfig(a_range=(1, 3), b_range=(-1, 1), p_range=(-2, 2),
-                     q_range=(-2, 2), n_horizon=60,
-                     checks=("growth", "lucas", "height"))
+cfg = sw.SweepConfig(a_range=(1, 3), b_range=(-1, int(sys.argv[3])),
+                     p_range=(-2, 2), q_range=(-2, 2), n_horizon=60,
+                     checks=tuple(sys.argv[2].split(",")), zero_k_max=8,
+                     uniqueness_horizon=400, oracle_floor=200)
 report, violations = sw.run_sweep(cfg)
 summary = tracer.summary()
-print(violations, " ".join(sorted(k for k, v in summary.items() if v["calls"])))
+print(violations, tracer.counters["sweep.brute_force_zero_oracle.steps"])
+print(" ".join(sorted(k for k, v in summary.items() if v["calls"])))
 """
+
+
+def _traced_sweep(checks, b_hi):
+    """(violations, oracle steps, traced names called) of a small sweep over
+    A in [1, 3], B in [-1, b_hi] with perfbench's tracer installed."""
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", _TRACED_SWEEP, str(root / "perfbench"),
+                          ",".join(checks), str(b_hi)],
+                         env=env, capture_output=True, text=True, check=True)
+    counts, names = out.stdout.split("\n")[:2]
+    violations, steps = counts.split()
+    return int(violations), int(steps), names.split()
 
 
 def test_perfbench_tracer_installs_and_traces_a_growth_sweep():
     """perfbench's tracer looks brigkit functions up by name and refuses to
     install if one is missing, so a refactor that drops a traced name fails
     here and not only in the traced benchmark."""
-    root = Path(__file__).resolve().parent.parent
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
-    out = subprocess.run([sys.executable, "-c", _TRACED_SWEEP, str(root / "perfbench")],
-                         env=env, capture_output=True, text=True, check=True)
-    violations, names = out.stdout.split("\n")[0].split(" ", 1)
-    assert violations == "0"
+    violations, _, names = _traced_sweep(("growth", "lucas", "height"), 1)
+    assert violations == 0
     for name in ("growth.real_case_branch", "growth.ratio_height",
                  "growth.height_sandwich_check", "kernels.real_growth_scan",
                  "kernels.lucas_growth_scan", "core.classify"):
-        assert name in names.split()
+        assert name in names
+
+
+def test_perfbench_tracer_traces_the_zero_path():
+    """The oracle lives in brigkit.referee, but the sweep calls it by its
+    name in brigkit.sweep, where the tracer wraps it: a zeros sweep records
+    oracle calls and oracle steps, as well as the zero decision's own
+    layers."""
+    violations, steps, names = _traced_sweep(("zeros", "zero-family"), 3)
+    assert violations == 0
+    assert steps > 0
+    for name in ("sweep.brute_force_zero_oracle", "zeros.find_zero",
+                 "kernels.zero_scan", "zeros.construct_zero_at"):
+        assert name in names
