@@ -37,11 +37,11 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _add_params(parser, required=True):
-    parser.add_argument("--a", type=int, required=required, help="recurrence coefficient A")
-    parser.add_argument("--b", type=int, required=required, help="recurrence coefficient B")
-    parser.add_argument("--p", type=int, required=required, help="initial value u_0")
-    parser.add_argument("--q", type=int, required=required, help="initial value u_1")
+def _add_params(parser):
+    parser.add_argument("--a", type=int, required=True, help="recurrence coefficient A")
+    parser.add_argument("--b", type=int, required=True, help="recurrence coefficient B")
+    parser.add_argument("--p", type=int, required=True, help="initial value u_0")
+    parser.add_argument("--q", type=int, required=True, help="initial value u_1")
 
 
 def build_parser() -> argparse.ArgumentParser:

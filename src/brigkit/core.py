@@ -27,9 +27,6 @@ class SequenceParams:
     P: int
     Q: int
 
-    def __repr__(self):
-        return f"SequenceParams(A={self.A}, B={self.B}, P={self.P}, Q={self.Q})"
-
 
 class Kind(enum.Enum):
     REAL = "real"

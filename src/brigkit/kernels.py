@@ -49,8 +49,8 @@ _SCREEN_PRIME = 1_073_741_789
 # allocates its table.
 _MAX_SCAN = (1 << 32) - 1
 
-# lucas_u_pair and term_at refuse an index whose bound on the bits of U_n
-# passes this (2^36 bits is 8 GiB).
+# lucas_u_pair, term_at and the linear walks refuse an index whose bound on
+# the bits of U_n passes this (2^36 bits is 8 GiB).
 _MAX_BITS = 1 << 36
 
 
@@ -159,9 +159,11 @@ def _start_pair(a: int, b: int, m: int) -> tuple[int, int]:
 
 
 def term_iter(A: int, B: int, P: int, Q: int, n: int) -> int:
-    """u_n by n-1 recurrence steps; the linear-time reference path."""
+    """u_n by n-1 recurrence steps; the linear-time reference path.  n
+    passes lucas_u_pair's size guard before the first step."""
     if n < 0:
         raise ValueError("index must be non-negative")
+    _refuse_huge(A, B, n)
     if n == 0:
         return P
     prev, cur = P, Q
@@ -409,7 +411,9 @@ def nonreal_growth_scan(A: int, B: int, P: int, Q: int, hi: int) -> int:
     Screened by bit lengths: for L = bit_length(|u_n|) and e =
     bit_length(B^n), |u_n|^3 lies in [2^(3L-3), 2^(3L)) and B^n in
     [2^(e-1), 2^e), so 3L < e proves |u_n|^3 < B^n and 3L - 2 > e refutes
-    it; only 3L - 2 <= e <= 3L builds the cube."""
+    it; only 3L - 2 <= e <= 3L builds the cube.  hi passes lucas_u_pair's
+    size guard before the first step."""
+    _refuse_huge(A, B, hi)
     un, cur = P, Q                     # u_n, u_{n+1}
     bp = 1                             # B^n
     last = -1

@@ -39,12 +39,10 @@ from . import __version__, kernels
 from .core import Kind, SequenceParams, classify
 from .growth import (empirical_nonreal_threshold, height_sandwich_check,
                      nonreal_threshold_formula, ratio_height, real_case_branch,
-                     BranchKind, DegenerateInputError, HeightBoundError,
-                     DEFAULT_C_NONREAL_THRESHOLD)
+                     BranchKind, HeightBoundError, DEFAULT_C_NONREAL_THRESHOLD)
 from .referee import _MAX_HORIZON, brute_force_zero_oracle
 from .zeros import (AllZero, NoZero, PeriodicZeros, ZeroAt, ZeroTail,
-                    construct_zero_at, find_zero, _formula_bound,
-                    ConstructionError, DEFAULT_C4)
+                    construct_zero_at, find_zero, _formula_bound, DEFAULT_C4)
 
 ALL_CHECKS = ("zeros", "growth", "height", "lucas", "zero-family")
 
@@ -88,6 +86,12 @@ class SweepConfig:
                 raise SweepConfigError(f"empty {name}: [{lo}, {hi}]")
         if self.n_horizon < 2:
             raise SweepConfigError("n_horizon must be >= 2")
+        # the growth and Lucas scans walk the recurrence up to n_horizon
+        a_max, b_max = (max(map(abs, r)) for r in (self.a_range, self.b_range))
+        try:
+            kernels._refuse_huge(a_max, b_max, self.n_horizon)
+        except ValueError as exc:
+            raise SweepConfigError(f"n_horizon: {exc}") from exc
         if not 1 <= self.c4 <= kernels._MAX_SCAN:
             raise SweepConfigError(
                 f"c4 must be in [1, {kernels._MAX_SCAN}], got {self.c4}")
@@ -309,13 +313,12 @@ def _check_growth(params, cls, cfg: SweepConfig, flags: list, found: list) -> di
         growth["branch"] = branch.kind.value
         growth["case"] = branch.case.value
         growth["n_min"] = str(branch.n_min)
-        start = max(branch.n_min, 2)
         growth["first_violation"] = None
-        if start > cfg.n_horizon:
+        if branch.n_min > cfg.n_horizon:
             flags.append("growth-threshold-beyond-horizon")
             return growth
         # A < 0 flips to (-A, B, P, -Q); |u_n| is unchanged
-        bad = kernels.real_growth_scan(abs(a), b, p, -q if a < 0 else q, start,
+        bad = kernels.real_growth_scan(abs(a), b, p, -q if a < 0 else q, branch.n_min,
                                        cfg.n_horizon, branch.kind is BranchKind.FAR)
         if bad != -1:
             growth["first_violation"] = str(bad)
@@ -346,8 +349,6 @@ def _check_height(params, cls, flags: list, found: list) -> dict:
             height["sandwich_ok"] = height_sandwich_check(params)
             if not height["sandwich_ok"]:
                 failed.append("height-sandwich")
-    except DegenerateInputError:
-        pass
     except HeightBoundError:
         failed.append("height-bound")
     for check in failed:
@@ -364,10 +365,7 @@ def _check_zero_family(a: int, b: int, pair_cls, cfg: SweepConfig,
     family = []
     real = pair_cls.kind is Kind.REAL
     for k in range(2, cfg.zero_k_max + 1):
-        try:
-            cp, cq = construct_zero_at(a, b, k)
-        except ConstructionError:
-            continue
+        cp, cq = construct_zero_at(a, b, k)
         cparams = SequenceParams(a, b, cp, cq)
         frec = {"a": str(a), "b": str(b), "k": str(k), "p": str(cp), "q": str(cq)}
         result = find_zero(cparams, cfg.c4)

@@ -96,15 +96,16 @@ def zero_search_bound(params: SequenceParams,
     no floating point enters the decision.  A non-real c4_config below 1
     raises ValueError.
     """
-    return _search_bound(params, classify(params), c4_config)
+    cls = classify(params)
+    if cls.is_degenerate:
+        raise DegenerateInputError(f"no search bound for {cls.label()}")
+    _check_c4(cls, c4_config)
+    return _search_bound(params, cls, c4_config)
 
 
 def _search_bound(params: SequenceParams, cls: SequenceClass,
                   c4_config: int) -> SearchBound:
-    """zero_search_bound for a sequence already classified as cls."""
-    if cls.is_degenerate:
-        raise DegenerateInputError(f"no search bound for {cls.label()}")
-    _check_c4(cls, c4_config)
+    """zero_search_bound once cls has passed its degenerate and c4 checks."""
     _, formula = _formula_bound(params, cls.kind is Kind.REAL)
     if cls.kind is Kind.REAL:
         return SearchBound(formula)
@@ -179,7 +180,7 @@ def _degenerate_zeros(params: SequenceParams, cls: SequenceClass) -> ZeroResult:
     if cls.reason is Reason.B_ZERO:
         # u_0 = P and u_n = A^(n-1)*Q for n >= 1
         if Q == 0:
-            return ZeroTail(1, frozenset({0}) if P == 0 else frozenset())
+            return ZeroTail(1)
         if A == 0:
             return ZeroTail(2, frozenset({0}) if P == 0 else frozenset())
         if P == 0:
@@ -235,12 +236,14 @@ def zero_family(A: int, B: int, k_max: int) -> list[tuple[int, int, int]]:
     """(k, P_k, Q_k) for k = 2..k_max via P_{m+1} = A*P_m - Q_m, Q_{m+1} = B*P_m.
 
     Starting pair (P_2, Q_2) = (A, B); each entry's sequence vanishes at
-    exactly index k (proportional to construct_zero_at's output).
+    exactly index k (proportional to construct_zero_at's output).  k_max
+    passes lucas_u_pair's size guard before the first step.
     """
     if A == 0 or B == 0:
         raise ValueError("family requires A*B != 0")
     if k_max < 2:
         raise ValueError("k_max must be >= 2")
+    kernels._refuse_huge(A, B, k_max)
     out = []
     p, q = A, B
     for k in range(2, k_max + 1):

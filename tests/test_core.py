@@ -166,3 +166,9 @@ def test_public_surface_is_pinned():
     names = {name for name, value in vars(brigkit).items()
              if not name.startswith("_") and not isinstance(value, ModuleType)}
     assert names == PUBLIC_NAMES
+
+
+def test_params_repr_names_each_field():
+    """Error messages print params; the dataclass repr names every field."""
+    assert (repr(SequenceParams(1, -2, 3, -4))
+            == "SequenceParams(A=1, B=-2, P=3, Q=-4)")

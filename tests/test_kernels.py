@@ -14,11 +14,11 @@ from itertools import product
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from brigkit import SequenceParams, classify, kernels
+from brigkit import SequenceParams, classify, kernels, zeros
 from brigkit.core import Kind
 from brigkit.growth import (BranchKind, _bound_margins, check_lucas_growth,
                             check_nonreal_growth, check_real_growth,
-                            real_case_branch)
+                            empirical_nonreal_threshold, real_case_branch)
 from brigkit.intutil import surd_sign
 from conftest import decimal_sign, iter_lucas_u, iter_lucas_v, iter_terms
 
@@ -86,6 +86,23 @@ def test_huge_index_is_refused_before_the_ladder_starts(monkeypatch):
                  lambda: kernels.lucas_uv(10, -10, n),
                  lambda: kernels.term_at(10, -10, 3, 7, n),
                  lambda: kernels.term_window(10, -10, 3, 7, n)):
+        with pytest.raises(ValueError, match="too large"):
+            call()
+
+
+def test_huge_linear_walks_are_refused_before_the_first_step(monkeypatch):
+    """Each walk loops over a range, so a range that fails proves no walk
+    starts."""
+    def started(*args):
+        raise AssertionError("the walk started")
+
+    monkeypatch.setattr(kernels, "range", started, raising=False)
+    monkeypatch.setattr(zeros, "range", started, raising=False)
+    for call in (lambda: kernels.term_iter(3, 2, 1, 1, 2 ** 63 + 5),
+                 lambda: kernels.nonreal_growth_scan(1, 2, 1, 1, 2 ** 40),
+                 lambda: empirical_nonreal_threshold(SequenceParams(1, 2, 1, 1),
+                                                     2 ** 40),
+                 lambda: zeros.zero_family(3, 2, 2 ** 40)):
         with pytest.raises(ValueError, match="too large"):
             call()
 

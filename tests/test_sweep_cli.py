@@ -16,10 +16,11 @@ from hypothesis import example, given, settings, strategies as st
 from brigkit import SequenceParams, classify, kernels, referee
 from brigkit import sweep as sweep_mod
 from brigkit.cli import main
-from brigkit.core import Reason
+from brigkit.core import DegenerateInputError, Reason
 from brigkit.referee import brute_force_zero_oracle
 from brigkit.sweep import (CSV_HEADER, SweepConfig, SweepConfigError,
                            config_from_dict, render_csv, render_json, run_sweep)
+from brigkit.zeros import ConstructionError
 from conftest import iter_terms
 
 SMALL = dict(a_range=(-3, 3), b_range=(-3, 3), p_range=(-2, 2), q_range=(-2, 2),
@@ -299,6 +300,21 @@ def test_config_rejects_a_c4_outside_the_scan_range(c4):
                     q_range=(1, 1), c4=c4).validate()
 
 
+def test_config_refuses_a_horizon_past_the_size_guard():
+    """(1, 0) bounds U_n by n bits, so the horizon's limit is _MAX_BITS; a
+    box with |A| + |B| up to 7 takes a third of it."""
+    limit = kernels._MAX_BITS
+    box = dict(p_range=(1, 1), q_range=(1, 1))
+    SweepConfig(a_range=(-1, 1), b_range=(0, 0), n_horizon=limit, **box).validate()
+    SweepConfig(a_range=(-3, 1), b_range=(0, 4), n_horizon=limit // 3,
+                **box).validate()
+    for a_range, b_range, horizon in [((-1, 1), (0, 0), limit + 1),
+                                      ((-3, 1), (0, 4), limit // 3 + 1)]:
+        with pytest.raises(SweepConfigError, match="n_horizon: index"):
+            SweepConfig(a_range=a_range, b_range=b_range, n_horizon=horizon,
+                        **box).validate()
+
+
 def test_config_accepts_c4_at_the_scan_limit():
     """Without the zeros check c4 reaches the scan limit; with it, the
     oracle's limit."""
@@ -525,6 +541,25 @@ def test_cli_term_refuses_a_huge_index(monkeypatch, capsys):
                  "--n", "9223372036854775813"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: index 9223372036854775813 is too large")
+
+
+def test_cli_refuses_huge_linear_walks(monkeypatch, capsys):
+    """term --iter, make-zero --family and sweep exit 1 on an index past the
+    size guard, and no walk or sweep starts."""
+    def started(*args):
+        raise AssertionError("the walk started")
+
+    monkeypatch.setattr(kernels, "range", started, raising=False)
+    monkeypatch.setattr("brigkit.zeros.range", started, raising=False)
+    monkeypatch.setattr("brigkit.cli.run_sweep", started)
+    for argv in (["term", "--a", "3", "--b", "2", "--p", "1", "--q", "1",
+                  "--n", "9223372036854775813", "--iter"],
+                 ["make-zero", "--a", "3", "--b", "2", "--family",
+                  "--kmax", "1099511627776"],
+                 ["sweep", "--a-range", "1:1", "--b-range", "2:2", "--p-range",
+                  "1:1", "--q-range", "1:1", "--horizon", "1099511627776"]):
+        assert main(argv) == 1
+        assert "is too large" in capsys.readouterr().err
 
 
 def test_cli_zeros_c4_help_names_the_default(monkeypatch, capsys):
@@ -935,6 +970,41 @@ def test_crashing_pair_is_reported_and_the_sweep_goes_on(monkeypatch, capsys):
     assert pairs == {("0", "1"), ("0", "2"), ("1", "1")}
     assert report["summary"]["records"] == str(3 * 3 * 3)
     assert "internal error in pair (1, 2)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("target, error, checks, injected", [
+    ("height_sandwich_check", DegenerateInputError, "height",
+     lambda args: args[0].P == 2),
+    ("construct_zero_at", ConstructionError, "zero-family",
+     lambda args: args[2] == 3),
+])
+def test_unreachable_check_errors_are_internal_errors(
+        monkeypatch, tmp_path, capsys, target, error, checks, injected):
+    """An error that a check cannot raise on the points the sweep gives it
+    is a bug, so it is reported as the pair's internal-error, never
+    skipped: the sandwich gets only real points, and a non-degenerate
+    (A, B) has U_n != 0 for every n >= 1."""
+    real = getattr(sweep_mod, target)
+
+    def faulty(*args):
+        if injected(args):
+            raise error("injected")
+        return real(*args)
+
+    monkeypatch.setattr(sweep_mod, target, faulty)
+    want = [{"grade": "assertion", "check": "internal-error", "a": "1",
+             "b": "-1", "error": f"{error.__name__}: injected"}]
+    cfg = SweepConfig(a_range=(1, 1), b_range=(-1, -1), p_range=(1, 2),
+                      q_range=(1, 1), checks=(checks,), zero_k_max=5)
+    report, violations = run_sweep(cfg)
+    assert violations == 1 == assertion_count(report)
+    assert report["discrepancies"] == want
+    out = tmp_path / "r.json"
+    assert main(["sweep", "--a-range=1:1", "--b-range=-1:-1", "--p-range=1:2",
+                 "--q-range=1:1", "--checks", checks, "--kmax", "5",
+                 "--out", str(out)]) == 3
+    assert json.loads(out.read_text())["discrepancies"] == want
+    assert "internal error in pair (1, -1)" in capsys.readouterr().err
 
 
 # sha256 of the zeros-sweep box's JSON report (the benchmark's zeros-sweep
