@@ -1,9 +1,9 @@
 """Command-line interface.
 
 Subcommands: classify, term, zeros, make-zero, growth, sweep.  Exit codes:
-0 success, 1 usage or config error, 2 internal invariant violation (a
-second zero in a non-degenerate sequence: should never happen), 3 sweep
-assertion failures.
+0 success, 1 usage or config error (and a sweep whose worker process died,
+which writes no report), 2 internal invariant violation (a second zero in a
+non-degenerate sequence: should never happen), 3 sweep assertion failures.
 """
 
 from __future__ import annotations
@@ -21,9 +21,9 @@ from .growth import (HeightBoundError, check_lucas_growth, check_nonreal_growth,
                      empirical_nonreal_threshold, height_sandwich_check,
                      nonreal_threshold_formula, ratio_height,
                      DEFAULT_C_LUCAS_NONREAL, DEFAULT_C_NONREAL_THRESHOLD)
-from .sweep import (SweepConfigError, config_from_dict, render_csv,
-                    render_json, run_sweep, write_report, zero_result_dict)
-from .terms import term_fast, term_iter
+from .sweep import (FORMATS, SweepConfigError, config_from_dict, run_sweep,
+                    write_report, zero_result_dict)
+from .terms import term_fast
 from .zeros import (AllZero, InvariantViolationError, NoZero, PeriodicZeros,
                     ZeroAt, ZeroTail, construct_zero_at, zero_family,
                     _find_zero, DEFAULT_C4)
@@ -59,9 +59,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_term = sub.add_parser("term", help="print u_n exactly")
     _add_params(p_term)
     p_term.add_argument("--n", type=int, required=True)
-    path = p_term.add_mutually_exclusive_group()
-    path.add_argument("--fast", action="store_true", help="doubling path (default)")
-    path.add_argument("--iter", action="store_true", help="iterative path")
     p_term.add_argument("--json", action="store_true")
 
     p_zero = sub.add_parser("zeros", help="decide whether some u_k = 0")
@@ -110,7 +107,7 @@ def build_parser() -> argparse.ArgumentParser:
                            "report is the same at any count")
     p_sw.add_argument("--out", dest="output_path", type=str,
                       help="report path (default stdout)")
-    p_sw.add_argument("--format", choices=["json", "csv"])
+    p_sw.add_argument("--format", choices=FORMATS)
     return parser
 
 
@@ -158,11 +155,7 @@ def cmd_classify(args) -> int:
 
 
 def cmd_term(args) -> int:
-    if args.n < 0:
-        print("error: n must be non-negative", file=sys.stderr)
-        return 1
-    fn = term_iter if args.iter else term_fast
-    value = fn(_params(args), args.n)
+    value = term_fast(_params(args), args.n)
     _emit(args, {"n": str(args.n), "u_n": str(value)}, str(value))
     return 0
 
@@ -201,19 +194,15 @@ def cmd_make_zero(args) -> int:
 
 def cmd_growth(args) -> int:
     params = _params(args)
+    extra, suffix = {}, ""
     if args.check == "real":
         report = check_real_growth(params, args.n)
     elif args.check == "nonreal":
         report = check_nonreal_growth(params, args.n)
         emp = empirical_nonreal_threshold(params, max(args.n, 300))
         formula = nonreal_threshold_formula(params, Fraction(args.c5))
-        extra = f" (empirical threshold {emp}, formula threshold {formula})"
-        payload = _growth_json(report)
-        payload["empirical_threshold"] = str(emp)
-        payload["formula_threshold"] = str(formula)
-        text = _growth_text(report) + extra
-        _emit(args, payload, text)
-        return 0
+        extra = {"empirical_threshold": str(emp), "formula_threshold": str(formula)}
+        suffix = f" (empirical threshold {emp}, formula threshold {formula})"
     elif args.check == "sharp":
         report = check_sharp_growth(params, args.n)
     elif args.check == "lucas":
@@ -231,7 +220,7 @@ def cmd_growth(args) -> int:
                    "linear": rh.linear, "sandwich_ok": sandwich}
         _emit(args, payload, f"H={rh.height}, poly={rh.coeffs}, {verdict}")
         return 0
-    _emit(args, _growth_json(report), _growth_text(report))
+    _emit(args, {**_growth_json(report), **extra}, _growth_text(report) + suffix)
     return 0
 
 
@@ -266,7 +255,12 @@ def cmd_sweep(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
-    report, violations = run_sweep(cfg)
+    from concurrent.futures import BrokenExecutor
+    try:
+        report, violations = run_sweep(cfg)
+    except BrokenExecutor as exc:  # a worker process died
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
     if cfg.output_path:
         try:
             write_report(report, cfg.output_path, cfg.format)
@@ -276,8 +270,7 @@ def cmd_sweep(args) -> int:
         print(f"wrote {cfg.output_path}: {report['summary']['records']} records, "
               f"{violations} violations")
     else:
-        out = render_json(report) if cfg.format == "json" else render_csv(report)
-        sys.stdout.write(out)
+        sys.stdout.write(FORMATS[cfg.format](report))
     return 3 if violations else 0
 
 

@@ -35,11 +35,9 @@ class QuadElem:
 def alpha_power(A: int, B: int, m: int) -> QuadElem:
     """alpha^m = (V_m + U_m*sqrt(delta))/2 for alpha = (A + sqrt(delta))/2,
     delta = A^2 - 4B >= 0, from the Lucas pair of (A, B) in O(log m) big
-    multiplications."""
+    multiplications.  A negative m is refused by kernels.lucas_u_pair."""
     delta = A * A - 4 * B
     if delta < 0:
         raise ValueError("alpha_power requires a real case (A^2 >= 4B)")
-    if m < 0:
-        raise ValueError("m must be non-negative")
     u, v = kernels.lucas_uv(A, B, m)
     return QuadElem(v, u, delta, 2)

@@ -224,15 +224,14 @@ def check_sharp_growth(params: SequenceParams, n: int) -> GrowthReport:
 
 def check_nonreal_growth(params: SequenceParams, n: int) -> GrowthReport:
     """Non-real case: |u_n|^3 >= B^n (i.e. |u_n| >= |alpha|^(2n/3)), plus the
-    weaker |u_n| >= 1.25^n as a second integer margin."""
+    weaker |u_n| >= 1.25^n as a second integer margin.  A negative n is
+    refused by kernels.lucas_u_pair, through term_fast."""
     cls = classify(params)
     if cls.kind is not Kind.NONREAL:
         raise DegenerateInputError(f"non-real growth check got {cls.label()}")
     b = params.B
     if b < 2:
         raise DegenerateInputError("non-real non-degenerate sequences have B >= 2")
-    if n < 0:
-        raise ValueError("index must be non-negative")
     un = abs(terms.term_fast(params, n))
     m1 = _margin("cube-vs-b-power", un ** 3 - b ** n)
     m2 = _margin("five-fourths", un * 4 ** n - 5 ** n)

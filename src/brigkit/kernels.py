@@ -114,10 +114,9 @@ def term_at(A: int, B: int, P: int, Q: int, n: int) -> int:
 
     Completing the square, 4c*u_n = (2c*y + b*x)^2 + (4ac - b^2)*x^2: two
     squarings and one exact division.  For c = 0, u_n = x*(a*x + b*y): one
-    product.  n itself passes lucas_u_pair's size guard.
+    product.  n itself passes lucas_u_pair's size guard, and lucas_u_pair
+    refuses a negative n, since n >> 1 is negative exactly when n is.
     """
-    if n < 0:
-        raise ValueError("index must be non-negative")
     _refuse_huge(A, B, n)
     x, y = lucas_u_pair(A, B, n >> 1)
     w = A * P - Q

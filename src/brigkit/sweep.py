@@ -29,7 +29,6 @@ import contextlib
 import csv
 import io
 import json
-import multiprocessing
 import os
 import sys
 from dataclasses import MISSING, dataclass, fields
@@ -110,7 +109,7 @@ class SweepConfig:
                 f"got {self.uniqueness_horizon} with zero_k_max {self.zero_k_max}")
         if self.parallelism < 1:
             raise SweepConfigError("parallelism must be >= 1")
-        if self.format not in ("json", "csv"):
+        if self.format not in FORMATS:
             raise SweepConfigError(f"unknown format {self.format!r}")
         unknown = set(self.checks) - set(ALL_CHECKS)
         if unknown:
@@ -388,15 +387,18 @@ def _check_zero_family(a: int, b: int, pair_cls, cfg: SweepConfig,
 
 def run_sweep(config: SweepConfig) -> tuple[dict, int]:
     """Execute the sweep; returns (report, number of assertion-grade
-    discrepancies)."""
+    discrepancies).  A worker process that dies raises BrokenProcessPool."""
     config.validate()
     jobs = [(a, b, config)
             for a in range(config.a_range[0], config.a_range[1] + 1)
             for b in range(config.b_range[0], config.b_range[1] + 1)]
     workers = min(config.parallelism, len(jobs))
     if workers > 1:
-        with multiprocessing.Pool(workers) as pool:
-            results = pool.map(_process_pair, jobs, chunksize=8)
+        # imported here, so a serial sweep does not pay for it; unlike
+        # multiprocessing.Pool, the executor notices a worker that dies
+        from concurrent.futures import ProcessPoolExecutor
+        with ProcessPoolExecutor(workers) as pool:
+            results = list(pool.map(_process_pair, jobs, chunksize=8))
     else:
         results = [_process_pair(j) for j in jobs]
 
@@ -530,10 +532,13 @@ def render_csv(report: dict) -> str:
     return buf.getvalue()
 
 
+FORMATS = {"json": render_json, "csv": render_csv}
+
+
 def write_report(report: dict, path: str, fmt: str) -> None:
     """Writes the report to path + ".tmp" and renames it to path; on an
     OSError the .tmp file is removed and the error raised."""
-    text = render_json(report) if fmt == "json" else render_csv(report)
+    text = FORMATS[fmt](report)
     tmp = path + ".tmp"
     try:
         with open(tmp, "w") as fh:

@@ -236,14 +236,18 @@ def zero_family(A: int, B: int, k_max: int) -> list[tuple[int, int, int]]:
     """(k, P_k, Q_k) for k = 2..k_max via P_{m+1} = A*P_m - Q_m, Q_{m+1} = B*P_m.
 
     Starting pair (P_2, Q_2) = (A, B); each entry's sequence vanishes at
-    exactly index k (proportional to construct_zero_at's output).  k_max
-    passes lucas_u_pair's size guard before the first step.
+    exactly index k (proportional to construct_zero_at's output).  P_k = U_k
+    and Q_k = B*U_{k-1} have at most (k - 1)*bit_length(|A| + |B|) bits each,
+    so k_max^2*bit_length(|A| + |B|) bounds the bits of the whole list; past
+    kernels._MAX_BITS the call raises ValueError before the first step.
     """
     if A == 0 or B == 0:
         raise ValueError("family requires A*B != 0")
     if k_max < 2:
         raise ValueError("k_max must be >= 2")
-    kernels._refuse_huge(A, B, k_max)
+    if k_max * k_max * (abs(A) + abs(B)).bit_length() > kernels._MAX_BITS:
+        raise ValueError(f"k_max {k_max} is too large: the family may need more "
+                         f"than 2^{kernels._MAX_BITS.bit_length() - 1} bits")
     out = []
     p, q = A, B
     for k in range(2, k_max + 1):

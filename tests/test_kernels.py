@@ -8,6 +8,7 @@ test-local referees that share no code with brigkit: exact squares in
 _first_violation, and decimal intervals in the forced-branch scans.
 """
 
+import math
 from fractions import Fraction
 from itertools import product
 
@@ -105,6 +106,24 @@ def test_huge_linear_walks_are_refused_before_the_first_step(monkeypatch):
                  lambda: zeros.zero_family(3, 2, 2 ** 40)):
         with pytest.raises(ValueError, match="too large"):
             call()
+
+
+def test_zero_family_guard_bounds_the_whole_list(monkeypatch):
+    """k_max^2*bit_length(|A| + |B|) bounds the family's bits; for (3, 2)
+    the largest k_max it accepts is isqrt(2^36 // 3).  The walk's range
+    fails, so passing the guard is seen without a walk."""
+    class Started(Exception):
+        pass
+
+    def started(*args):
+        raise Started
+
+    monkeypatch.setattr(zeros, "range", started, raising=False)
+    limit = math.isqrt(kernels._MAX_BITS // 3)
+    with pytest.raises(Started):
+        zeros.zero_family(3, 2, limit)
+    with pytest.raises(ValueError, match=f"k_max {limit + 1} is too large"):
+        zeros.zero_family(3, 2, limit + 1)
 
 
 def test_size_guard_is_exact_at_its_limit():

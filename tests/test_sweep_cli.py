@@ -8,7 +8,6 @@ import sys
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -450,13 +449,21 @@ def test_cli_term(capsys):
                  "--n", "5"]) == 0
     assert capsys.readouterr().out.strip() == "0"
     assert main(["term", "--a", "1", "--b", "-1", "--p", "0", "--q", "1",
-                 "--n", "100", "--fast"]) == 0
-    assert capsys.readouterr().out.strip() == "354224848179261915075"
-    assert main(["term", "--a", "1", "--b", "-1", "--p", "0", "--q", "1",
-                 "--n", "100", "--iter"]) == 0
+                 "--n", "100"]) == 0
     assert capsys.readouterr().out.strip() == "354224848179261915075"
     assert main(["term", "--a", "1", "--b", "1", "--p", "1", "--q", "1",
                  "--n", "-2"]) == 1
+    assert capsys.readouterr().err == "error: index must be non-negative\n"
+
+
+def test_cli_term_has_one_path(capsys):
+    """term always takes the doubling path: --fast and --iter are gone."""
+    assert main(["term", "--help"]) == 0
+    out = capsys.readouterr().out
+    assert "--n" in out and "--fast" not in out and "--iter" not in out
+    assert main(["term", "--a", "1", "--b", "-1", "--p", "0", "--q", "1",
+                 "--n", "5", "--iter"]) == 1
+    capsys.readouterr()
 
 
 def test_cli_malformed_integer_exits_1(capsys):
@@ -544,8 +551,9 @@ def test_cli_term_refuses_a_huge_index(monkeypatch, capsys):
 
 
 def test_cli_refuses_huge_linear_walks(monkeypatch, capsys):
-    """term --iter, make-zero --family and sweep exit 1 on an index past the
-    size guard, and no walk or sweep starts."""
+    """term, make-zero --family and sweep exit 1 on an index past the size
+    guard, and no walk or sweep starts.  A family of 3 * 10^6 rows passes
+    the bound on its last row but not the one on the whole list."""
     def started(*args):
         raise AssertionError("the walk started")
 
@@ -553,9 +561,11 @@ def test_cli_refuses_huge_linear_walks(monkeypatch, capsys):
     monkeypatch.setattr("brigkit.zeros.range", started, raising=False)
     monkeypatch.setattr("brigkit.cli.run_sweep", started)
     for argv in (["term", "--a", "3", "--b", "2", "--p", "1", "--q", "1",
-                  "--n", "9223372036854775813", "--iter"],
+                  "--n", "9223372036854775813"],
                  ["make-zero", "--a", "3", "--b", "2", "--family",
                   "--kmax", "1099511627776"],
+                 ["make-zero", "--a", "3", "--b", "2", "--family",
+                  "--kmax", "3000000"],
                  ["sweep", "--a-range", "1:1", "--b-range", "2:2", "--p-range",
                   "1:1", "--q-range", "1:1", "--horizon", "1099511627776"]):
         assert main(argv) == 1
@@ -887,9 +897,9 @@ def test_failed_height_sandwich_is_an_assertion_finding(tmp_path, monkeypatch,
 def test_pool_has_at_most_one_worker_per_pair(monkeypatch):
     sizes = []
 
-    class InProcessPool:
-        def __init__(self, processes):
-            sizes.append(processes)
+    class InProcessExecutor:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
 
         def __enter__(self):
             return self
@@ -898,15 +908,52 @@ def test_pool_has_at_most_one_worker_per_pair(monkeypatch):
             return False
 
         def map(self, fn, jobs, chunksize=1):
-            return [fn(job) for job in jobs]
+            return (fn(job) for job in jobs)
 
-    monkeypatch.setattr(sweep_mod, "multiprocessing",
-                        SimpleNamespace(Pool=InProcessPool))
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor",
+                        InProcessExecutor)
     box = dict(a_range=(1, 1), b_range=(-1, 0), p_range=(-1, 1),
                q_range=(-1, 1), n_horizon=40, checks=("growth", "height"))
     report, _ = run_sweep(SweepConfig(**box, parallelism=8))
     assert sizes == [2]
     assert render_json(report) == render_json(run_sweep(SweepConfig(**box))[0])
+
+
+_DYING_WORKER = """
+import os, sys
+import brigkit.sweep as sw
+from brigkit.cli import main
+real = sw._check_pair
+
+
+def dying(job):
+    if job[:2] == (2, 1):
+        os._exit(9)
+    return real(job)
+
+
+sw._check_pair = dying
+sys.exit(main(["sweep", "--a-range=1:3", "--b-range=-1:2", "--p-range=-1:1",
+               "--q-range=-1:1", "--checks", "growth", "--jobs", "2",
+               "--out", sys.argv[1]]))
+"""
+
+
+def test_a_dead_worker_ends_the_sweep(tmp_path):
+    """A worker that exits mid-pair ends a --jobs 2 sweep of 12 pairs with
+    one error line, exit 1 and no report, instead of hanging it.  The
+    injection reaches the workers by fork."""
+    env = dict(os.environ)
+    src = Path(__file__).resolve().parent.parent / "src"
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    out = tmp_path / "r.json"
+    run = subprocess.run([sys.executable, "-c", _DYING_WORKER, str(out)], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert run.returncode == 1
+    assert run.stderr.startswith("error: BrokenProcessPool: ")
+    assert run.stderr.count("\n") == 1
+    assert run.stdout == ""
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_conditional_zero_misses_grade_informational():
@@ -1023,6 +1070,30 @@ def test_zeros_sweep_report_bytes_are_pinned(jobs):
     text = render_json(report)
     assert text == json.dumps(report, indent=1) + "\n"
     assert hashlib.sha256(text.encode()).hexdigest() == ZEROS_SWEEP_SHA256
+
+
+# sha256 of the CSV report of a default-checks box at horizon 40.  Its
+# rows fill every column but growth_first_violation: zero tails, periodic
+# residues, growth and non-real thresholds, height values and the
+# growth-threshold-beyond-horizon flag.  Same __version__ caveat as above.
+CSV_BOX = ["--a-range=-4:4", "--b-range=-4:4", "--p-range=-2:2",
+           "--q-range=-2:2", "--horizon", "40"]
+CSV_SHA256 = "eb5cb351360f65d2857465906008fc4514f6384f0501b71100d8851de43e87c4"
+
+
+def test_csv_report_bytes_are_pinned(tmp_path, capsys):
+    cfg = SweepConfig(a_range=(-4, 4), b_range=(-4, 4), p_range=(-2, 2),
+                      q_range=(-2, 2), n_horizon=40)
+    report, violations = run_sweep(cfg)
+    assert violations == 0
+    text = render_csv(report)
+    assert hashlib.sha256(text.encode()).hexdigest() == CSV_SHA256
+    assert main(["sweep", *CSV_BOX, "--format", "csv"]) == 0
+    assert capsys.readouterr().out == text
+    out = tmp_path / "r.csv"
+    assert main(["sweep", *CSV_BOX, "--format", "csv", "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert out.read_text() == text
 
 
 _PINNED_SWEEP_DIGESTS = """

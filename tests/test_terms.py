@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from brigkit import SequenceParams
+from brigkit.exactnum import alpha_power
+from brigkit.growth import check_nonreal_growth
 from brigkit.terms import (coeffs, gcd_consecutive_U, lucas_U, lucas_uv,
                            term_fast, term_iter, term_window)
 
@@ -37,6 +39,23 @@ def test_negative_index_rejected():
         term_iter(SequenceParams(1, 1, 1, 1), -1)
     with pytest.raises(ValueError):
         term_fast(SequenceParams(1, 1, 1, 1), -1)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: term_fast(SequenceParams(3, 2, 1, 1), -1),
+    lambda: term_iter(SequenceParams(3, 2, 1, 1), -1),
+    lambda: term_window(SequenceParams(3, 2, 1, 1), -1),
+    lambda: lucas_U(3, 2, -1),
+    lambda: lucas_uv(3, 2, -1),
+    lambda: alpha_power(3, 2, -1),
+    lambda: check_nonreal_growth(SequenceParams(1, 2, 1, 1), -1),
+], ids=["term_fast", "term_iter", "term_window", "lucas_U", "lucas_uv",
+        "alpha_power", "check_nonreal_growth"])
+def test_every_entry_refuses_a_negative_index_with_one_message(call):
+    """A negative index is refused in kernels.lucas_u_pair, which every
+    entry but term_iter reaches, and in kernels.term_iter."""
+    with pytest.raises(ValueError, match="^index must be non-negative$"):
+        call()
 
 
 def test_lucas_examples():
